@@ -33,7 +33,7 @@ Scheduling-pass invariance::
     PYTHONPATH=src python benchmarks/_fingerprint.py --vs-scalar [--scale 0.02]
 
 runs every scheme twice — once on the vectorized scheduling pass and
-once on the scalar twin (``REPRO_NAIVE_PASS=1``) — and asserts
+once on the scalar twin (``use_vector_pass=False``) — and asserts
 byte-identical decisions, in event-driven, batch-step *and* faulted
 replay.
 
@@ -43,7 +43,7 @@ Event-drain invariance::
 
 same shape for the event drain: every scheme twice — once on the
 columnar drain (bulk ``release_many`` completions, batched arrivals)
-and once on the one-event-at-a-time twin (``REPRO_NAIVE_EVENTS=1``) —
+and once on the one-event-at-a-time twin (``use_columnar_events=False``) —
 asserting byte-identical decisions in event-driven, batch-step and
 faulted replay.
 
@@ -189,124 +189,81 @@ def _diff(label_a: str, a: dict, label_b: str, b: dict) -> int:
     return len(mismatches)
 
 
-def vs_naive(scale: float) -> None:
-    """Assert the indexed and naive allocator search paths decide
-    identically — the decision-invariance contract of the incremental
-    occupancy indexes, the bitset shape search and the cross-pass memo
-    — in event-driven, batch-step and faulted replay."""
-    variants = (
-        ("event", {}),
-        ("batch", dict(step_interval=300.0)),
-        ("faulted", dict(
-            mttf=20_000.0, fault_seed=1,
-            fault_victim_policy="requeue-remaining",
-            checkpoint_interval=600.0,
-        )),
-    )
-    prev = os.environ.pop("REPRO_NAIVE_SEARCH", None)
+#: the drive variants every twin comparison covers
+TWIN_VARIANTS = (
+    ("event", {}),
+    ("batch", dict(step_interval=300.0)),
+    ("faulted", dict(
+        mttf=20_000.0, fault_seed=1,
+        fault_victim_policy="requeue-remaining",
+        checkpoint_interval=600.0,
+    )),
+)
+
+
+def _vs_twin(scale: float, label_a: str, label_b: str, what: str,
+             twin_kwargs: dict, twin_env: Optional[dict] = None) -> None:
+    """Assert a code path and its twin decide identically in
+    event-driven, batch-step and faulted replay.
+
+    The twin run adds ``twin_kwargs`` to every cell and, while it runs,
+    sets the environment variables in ``twin_env`` (removed again for
+    the first run and restored afterwards).  Only the decision keys are
+    compared: twins legitimately differ in diagnostic counters (the
+    naive search paths disable the batch screens, the scalar pass never
+    prefilters).
+    """
+    env = twin_env or {}
+    saved = {name: os.environ.pop(name, None) for name in env}
     try:
-        for label, kwargs in variants:
-            os.environ.pop("REPRO_NAIVE_SEARCH", None)
-            indexed = fingerprint(scale, **kwargs)
-            os.environ["REPRO_NAIVE_SEARCH"] = "1"
-            naive = fingerprint(scale, **kwargs)
-            # Decision keys only: the naive paths disable the batch
-            # screens, so the prefilter diagnostics legitimately differ.
+        for label, kwargs in TWIN_VARIANTS:
+            for name in env:
+                os.environ.pop(name, None)
+            first = _decisions(fingerprint(scale, **kwargs))
+            os.environ.update(env)
+            twin = _decisions(fingerprint(scale, **kwargs, **twin_kwargs))
             bad = _diff(
-                f"indexed[{label}]", _decisions(indexed),
-                f"naive[{label}]", _decisions(naive),
+                f"{label_a}[{label}]", first, f"{label_b}[{label}]", twin
             )
             if bad:
                 raise SystemExit(
-                    f"indexed vs naive fingerprints differ "
-                    f"({label}: {bad} of {len(indexed)} runs)"
+                    f"FINGERPRINTS-DIFFER: {what} "
+                    f"({label}: {bad} of {len(first)} runs)"
                 )
             print(
-                f"vs-naive ok: {len(indexed)} fingerprints identical "
-                f"({label} runs, indexed vs naive search, scale {scale})"
+                f"FINGERPRINTS-IDENTICAL ({len(first)}/{len(first)} "
+                f"{label} runs, {what}, scale {scale})"
             )
     finally:
-        if prev is None:
-            os.environ.pop("REPRO_NAIVE_SEARCH", None)
-        else:
-            os.environ["REPRO_NAIVE_SEARCH"] = prev
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def vs_naive(scale: float) -> None:
+    """Assert the indexed and naive allocator search paths decide
+    identically — the decision-invariance contract of the incremental
+    occupancy indexes, the bitset shape search and the cross-pass memo.
+    The naive search has no ``run_scheme`` argument, so the twin is
+    selected through ``REPRO_NAIVE_SEARCH=1``."""
+    _vs_twin(scale, "indexed", "naive", "indexed vs naive search",
+             {}, {"REPRO_NAIVE_SEARCH": "1"})
 
 
 def vs_scalar(scale: float) -> None:
     """Assert the vectorized and scalar scheduling passes decide
-    identically — event-driven, batch-step and faulted replay."""
-    variants = (
-        ("event", {}),
-        ("batch", dict(step_interval=300.0)),
-        ("faulted", dict(
-            mttf=20_000.0, fault_seed=1,
-            fault_victim_policy="requeue-remaining",
-            checkpoint_interval=600.0,
-        )),
-    )
-    prev = os.environ.pop("REPRO_NAIVE_PASS", None)
-    try:
-        for label, kwargs in variants:
-            os.environ.pop("REPRO_NAIVE_PASS", None)
-            vector = _decisions(fingerprint(scale, **kwargs))
-            os.environ["REPRO_NAIVE_PASS"] = "1"
-            scalar = _decisions(fingerprint(scale, **kwargs))
-            bad = _diff(
-                f"vector[{label}]", vector, f"scalar[{label}]", scalar
-            )
-            if bad:
-                raise SystemExit(
-                    f"FINGERPRINTS-DIFFER: vector vs scalar pass "
-                    f"({label}: {bad} of {len(vector)} runs)"
-                )
-            print(
-                f"FINGERPRINTS-IDENTICAL ({len(vector)}/{len(vector)} "
-                f"{label} runs, vector vs scalar pass, scale {scale})"
-            )
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_NAIVE_PASS", None)
-        else:
-            os.environ["REPRO_NAIVE_PASS"] = prev
+    identically."""
+    _vs_twin(scale, "vector", "scalar", "vector vs scalar pass",
+             dict(use_vector_pass=False))
 
 
 def vs_scalar_events(scale: float) -> None:
     """Assert the columnar and one-event-at-a-time drains decide
-    identically — event-driven, batch-step and faulted replay."""
-    variants = (
-        ("event", {}),
-        ("batch", dict(step_interval=300.0)),
-        ("faulted", dict(
-            mttf=20_000.0, fault_seed=1,
-            fault_victim_policy="requeue-remaining",
-            checkpoint_interval=600.0,
-        )),
-    )
-    prev = os.environ.pop("REPRO_NAIVE_EVENTS", None)
-    try:
-        for label, kwargs in variants:
-            os.environ.pop("REPRO_NAIVE_EVENTS", None)
-            columnar = _decisions(fingerprint(scale, **kwargs))
-            os.environ["REPRO_NAIVE_EVENTS"] = "1"
-            scalar = _decisions(fingerprint(scale, **kwargs))
-            bad = _diff(
-                f"columnar[{label}]", columnar,
-                f"scalar-events[{label}]", scalar,
-            )
-            if bad:
-                raise SystemExit(
-                    f"FINGERPRINTS-DIFFER: columnar vs scalar events "
-                    f"({label}: {bad} of {len(columnar)} runs)"
-                )
-            print(
-                f"FINGERPRINTS-IDENTICAL ({len(columnar)}/{len(columnar)} "
-                f"{label} runs, columnar vs scalar events, scale {scale})"
-            )
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_NAIVE_EVENTS", None)
-        else:
-            os.environ["REPRO_NAIVE_EVENTS"] = prev
+    identically."""
+    _vs_twin(scale, "columnar", "scalar-events",
+             "columnar vs scalar events", dict(use_columnar_events=False))
 
 
 def vs_obs(scale: float) -> None:

@@ -123,7 +123,7 @@ class AllocatorStats:
     #: (a smaller effective size already failed durably this round)
     size_cut_skips: int = 0
     #: scheduling passes executed on the vectorized (column-oriented)
-    #: pass; 0 when ``use_vector_pass=False`` / ``REPRO_NAIVE_PASS=1``
+    #: pass; 0 when ``use_vector_pass=False``
     pass_vector_rounds: int = 0
 
     def record(self, success: bool, seconds: float) -> None:

@@ -106,7 +106,7 @@ class FreeProfile:
         same float addition and ``>=`` the scalar loop performs, so the
         verdicts are bit-identical).  Used by the vectorized
         conservative pass; the scalar loop above is the
-        ``REPRO_NAIVE_PASS=1`` twin.
+        ``use_vector_pass=False`` twin.
         """
         times = self._times
         n = len(times)

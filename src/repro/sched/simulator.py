@@ -49,10 +49,9 @@ release, so pure-arrival event batches never repeat a lost search.
 
 from __future__ import annotations
 
-import heapq
 import math
-import os
-from itertools import count
+from bisect import insort
+from itertools import count, islice
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -114,9 +113,8 @@ class Simulator:
         columns, proven-infeasible candidates are skipped without a
         search (charged through ``Allocator.charge_skip`` so the
         attempt accounting is unchanged), and the backfill bookkeeping
-        is vectorized.  ``False`` — or ``REPRO_NAIVE_PASS=1`` in the
-        environment — selects the scalar twin; both produce identical
-        placements (``benchmarks/_fingerprint.py --vs-scalar``).
+        is vectorized.  ``False`` selects the scalar twin; both produce
+        identical placements (``benchmarks/_fingerprint.py --vs-scalar``).
     use_columnar_events:
         ``True`` (default) drains events between scheduling passes in
         columnar batches: completions release their allocations through
@@ -124,9 +122,8 @@ class Simulator:
         (a single occupancy-index update and one grouped
         feasibility-cache invalidation), arrivals enqueue as a bulk
         state transition, and fault kills drain victims through the
-        same bulk release path.  ``False`` — or ``REPRO_NAIVE_EVENTS=1``
-        in the environment — selects the historical one-event-at-a-time
-        twin; both produce identical decisions
+        same bulk release path.  ``False`` selects the historical
+        one-event-at-a-time twin; both produce identical decisions
         (``benchmarks/_fingerprint.py --vs-scalar-events``).  Runs that
         attach per-event telemetry (a sampler, an enabled tracer, or an
         event log) always take the scalar drain, which keeps the
@@ -156,13 +153,8 @@ class Simulator:
     #: paper's setup) or one of the classic priority orders, provided as
     #: extensions: ``sjf`` (shortest estimated walltime first),
     #: ``smallest``/``largest`` (by node count).  Ties fall back to
-    #: arrival order.
+    #: enqueue order.
     QUEUE_ORDERS = ("fifo", "sjf", "smallest", "largest")
-
-    #: minimum number of stale priority-heap entries before an eager
-    #: compaction is considered (tests lower this to force compaction;
-    #: the schedule must not change either way)
-    PHEAP_COMPACT_MIN = 16
 
     def __init__(
         self,
@@ -216,6 +208,8 @@ class Simulator:
             raise ValueError("checkpoint_interval must be non-negative")
         if step_interval is not None and step_interval <= 0:
             raise ValueError("step_interval must be positive (or None)")
+        if backfill_window < 0:
+            raise ValueError("backfill_window must be non-negative")
         self.allocator = allocator
         self.backfill_window = backfill_window
         self.reservation_policy = reservation_policy
@@ -249,15 +243,10 @@ class Simulator:
         #: batch-step round length (None = event-driven)
         self.step_interval = step_interval
         #: column-oriented scheduling pass (the scalar twin stays
-        #: available for invariance checks; the env knob mirrors
-        #: ``REPRO_NAIVE_SEARCH`` in :mod:`repro.core.registry`)
-        if os.environ.get("REPRO_NAIVE_PASS", "") not in ("", "0"):
-            use_vector_pass = False
+        #: available for invariance checks)
         self.use_vector_pass = bool(use_vector_pass)
-        #: columnar event drain between passes (scalar twin stays
-        #: available for invariance checks, same knob pattern)
-        if os.environ.get("REPRO_NAIVE_EVENTS", "") not in ("", "0"):
-            use_columnar_events = False
+        #: columnar event drain between passes (the scalar twin stays
+        #: available for invariance checks)
         self.use_columnar_events = bool(use_columnar_events)
         #: per-job provenance recording (lifecycle timeline plus skip
         #: reasons on the job-table columns; see
@@ -268,11 +257,9 @@ class Simulator:
         self.low_interference = allocator.low_interference
         #: the head job's current reservation: (job id, Reservation)
         self._sticky: Optional[Tuple[int, Reservation]] = None
-        #: high-water marks of the live bookkeeping structures, exposed
-        #: so tests can assert the queue stays bounded on long traces
+        #: high-water mark of the waiting queue's entry list (live and
+        #: dead entries), exposed so tests can assert it stays bounded
         self.peak_queue_len = 0
-        self.peak_started_out_of_order = 0
-        self.peak_pheap_stale = 0
 
     # ------------------------------------------------------------------
     def run(self, trace, trace_name: Optional[str] = None) -> SimResult:
@@ -281,8 +268,6 @@ class Simulator:
         name = trace_name or getattr(trace, "name", "trace")
         self._sticky = None
         self.peak_queue_len = 0
-        self.peak_started_out_of_order = 0
-        self.peak_pheap_stale = 0
         tree = self.allocator.tree
         for job in jobs:
             job.reset()
@@ -317,7 +302,7 @@ class _RunState:
     """Mutable scheduling state of one ``Simulator.run``.
 
     The policy layer over :mod:`repro.sched.eventcore`: it owns the
-    waiting queue(s), the running set, the area accumulators and the
+    waiting queue, the running set, the area accumulators and the
     resilience bookkeeping, and exposes the event handlers
     (:meth:`try_start`, :meth:`kill_job`, …) as methods so tests can
     observe or wrap individual transitions.
@@ -350,17 +335,19 @@ class _RunState:
             ),
         )
 
-        self.queue: List[Job] = []
+        #: the waiting queue, one structure for every queue order:
+        #: ``(key, seq, job)`` entries kept sorted by ``(key, seq)`` from
+        #: ``head`` on (everything before ``head`` is dead).  An entry is
+        #: live while its seq equals ``entry_seq[job.row]``; a start sets
+        #: that to -1 and a requeue issues a fresh seq, so a stale entry
+        #: dies where it sits and is dropped by the next compaction.
+        self.queue: List[Tuple[float, int, Job]] = []
         self.head = 0
-        #: priority heap used instead of the FIFO list for non-FIFO orders
-        self.pheap: List[Tuple[float, int, Job]] = []
-        #: tie-break counter for priority-heap entries (push order)
-        self._pseq = count()
-        self.started_out_of_order: set = set()
-        #: stale pheap entries (jobs that already started out of order);
-        #: in priority mode ``started_out_of_order`` holds exactly the
-        #: ids of these entries, so the two counts track together
-        self.pheap_stale = 0
+        #: per job-table row: seq of the job's live entry (-1 = none)
+        self.entry_seq: List[int] = [-1] * len(table)
+        #: entry seqs in enqueue order (the tie-break within a key)
+        self._seq = count()
+        #: live entries (jobs waiting)
         self.pending = 0
         #: running jobs as an index of job-table rows; the per-run
         #: planning columns (``est_end``, ``eff_size``) live on the
@@ -419,13 +406,14 @@ class _RunState:
         if self.sampler is not None:
             self.sampler.reset(self.last_t)
 
-        self.priority_key = None
-        if sim.queue_order == "sjf":
-            self.priority_key = self.walltime_est
-        elif sim.queue_order == "smallest":
-            self.priority_key = lambda job: job.size
-        elif sim.queue_order == "largest":
-            self.priority_key = lambda job: -job.size
+        #: sort key of a queue entry, taken at enqueue time (FIFO is a
+        #: constant key: entries then sort by seq alone)
+        self.queue_key = {
+            "fifo": lambda job: 0,
+            "sjf": self.walltime_est,
+            "smallest": lambda job: job.size,
+            "largest": lambda job: -job.size,
+        }[sim.queue_order]
 
     # -- running-set views ---------------------------------------------
     @property
@@ -638,79 +626,18 @@ class _RunState:
         table.eff_size[row] = self.eff(job)
         self.run_rows.add(row)
         table.state[row] = JobTable.RUNNING
+        self.entry_seq[row] = -1  # its queue entry dies in place
         self.cur_busy += job.size
         return True
 
     def enqueue(self, job: Job) -> None:
+        seq = next(self._seq)
+        self.entry_seq[job.row] = seq
+        insort(self.queue, (self.queue_key(job), seq, job), lo=self.head)
         sim = self.sim
-        if self.priority_key is None:
-            self.queue.append(job)
-            sim.peak_queue_len = max(sim.peak_queue_len, len(self.queue))
-        else:
-            heapq.heappush(
-                self.pheap, (self.priority_key(job), next(self._pseq), job)
-            )
-            sim.peak_queue_len = max(sim.peak_queue_len, len(self.pheap))
+        sim.peak_queue_len = max(sim.peak_queue_len, len(self.queue))
         self.pending += 1
-        self.table.state[self.table.row_of[job.id]] = JobTable.QUEUED
-
-    def note_started_out_of_order(self, job_id: int) -> None:
-        sim = self.sim
-        self.started_out_of_order.add(job_id)
-        sim.peak_started_out_of_order = max(
-            sim.peak_started_out_of_order, len(self.started_out_of_order)
-        )
-        if self.priority_key is not None:
-            self.pheap_stale += 1
-            sim.peak_pheap_stale = max(sim.peak_pheap_stale, self.pheap_stale)
-            self.compact_pheap()
-
-    def compact_pheap(self) -> None:
-        """Rebuild the priority heap without its stale entries once
-        they dominate it.  Amortized O(1) per event; pure
-        bookkeeping — the set of live entries (and hence every
-        scheduling decision) is unchanged.  Without this, each
-        ``window_candidates`` snapshot pays O(Q log Q) as the stale
-        share grows on long traces."""
-        if (
-            self.pheap_stale < self.sim.PHEAP_COMPACT_MIN
-            or self.pheap_stale * 2 < len(self.pheap)
-        ):
-            return
-        pheap = self.pheap
-        live = [e for e in pheap if e[2].id not in self.started_out_of_order]
-        self.started_out_of_order.difference_update(
-            e[2].id for e in pheap if e[2].id in self.started_out_of_order
-        )
-        pheap[:] = live
-        heapq.heapify(pheap)
-        self.pheap_stale = 0
-
-    def purge_queued(self, job: Job) -> None:
-        """Remove a killed job's stale queue entry, if any.
-
-        A job that started out of order leaves its entry in the
-        queue (lazily skipped once the head passes it).  Re-enqueuing
-        the same Job object behind that stale entry would confuse
-        the lazy bookkeeping — backfill would skip the live entry,
-        and after the stale one is pruned the running job could be
-        offered to the allocator twice — so kills purge eagerly.
-        Kills are rare; O(queue) is fine here.
-        """
-        if job.id not in self.started_out_of_order:
-            return
-        self.started_out_of_order.discard(job.id)
-        if self.priority_key is None:
-            for i in range(self.head, len(self.queue)):
-                if self.queue[i] is job:
-                    del self.queue[i]
-                    return
-        else:
-            pheap = self.pheap
-            live = [e for e in pheap if e[2] is not job]
-            self.pheap_stale -= len(pheap) - len(live)
-            pheap[:] = live
-            heapq.heapify(pheap)
+        self.table.state[job.row] = JobTable.QUEUED
 
     def kill_job(self, job: Job, now: float, released: bool = False) -> None:
         """Drain one fault victim through the ordinary release path
@@ -745,7 +672,6 @@ class _RunState:
                 )
         elif self.event_log is not None:
             self.event_log.record(now, "kill", job.id, job.size)
-        self.purge_queued(job)
         self.enqueue(job)
         if self.event_log is not None:
             self.event_log.record(now, "requeue", job.id, job.size)
@@ -764,87 +690,39 @@ class _RunState:
             self.kill_job(job, now, released=True)
 
     # -- queue views ---------------------------------------------------
-    def prune_fifo_front(self) -> None:
-        """Advance ``head`` past jobs that already started out of
-        order (pruning them from the tracking set — once the head
-        passes a job it can never be looked up again) and compact
-        the FIFO list once at least half of it is dead prefix.  Both
-        are amortized O(1) per event; without them ``queue`` and
-        ``started_out_of_order`` grow with every job ever enqueued."""
-        queue = self.queue
-        while (
-            self.head < len(queue)
-            and queue[self.head].id in self.started_out_of_order
-        ):
-            self.started_out_of_order.discard(queue[self.head].id)
-            self.head += 1
-        if self.head >= 64 and self.head * 2 >= len(queue):
-            del queue[:self.head]
-            self.head = 0
+    def waiting(self):
+        """The waiting jobs in queue order (live entries from ``head``
+        on).  Liveness is read as the scan reaches each entry, so a job
+        started mid-scan is never yielded twice — it was yielded before
+        it started — and nothing is revived: compaction only runs in
+        :meth:`peek_head`, never during a scan."""
+        seqs = self.entry_seq
+        for _, seq, job in islice(self.queue, self.head, None):
+            if seqs[job.row] == seq:
+                yield job
 
     def peek_head(self) -> Optional[Job]:
-        if self.priority_key is None:
-            self.prune_fifo_front()
-            return (
-                self.queue[self.head]
-                if self.head < len(self.queue)
-                else None
-            )
-        pheap = self.pheap
-        while pheap and pheap[0][2].id in self.started_out_of_order:
-            self.started_out_of_order.discard(pheap[0][2].id)
-            heapq.heappop(pheap)
-            self.pheap_stale -= 1
-        return pheap[0][2] if pheap else None
-
-    def advance_head(self) -> None:
-        if self.priority_key is None:
-            self.head += 1
-        else:
-            heapq.heappop(self.pheap)
+        """The first waiting job (``None`` if none): advance ``head``
+        past dead entries, and rebuild the list from its live entries
+        once the dead ones number at least 64 and at least the live
+        ones (amortized O(1) per entry; decision-invariant)."""
+        queue = self.queue
+        seqs = self.entry_seq
+        head = self.head
+        n = len(queue)
+        while head < n and seqs[queue[head][2].row] != queue[head][1]:
+            head += 1
+        dead = n - self.pending
+        if dead >= 64 and dead >= self.pending:
+            queue[:] = [e for e in queue[head:] if seqs[e[2].row] == e[1]]
+            head = 0
+        self.head = head
+        return queue[head][2] if head < len(queue) else None
 
     def window_candidates(self):
         """Up to ``backfill_window`` waiting jobs after the head, in
         queue order."""
-        window = self.sim.backfill_window
-        if self.priority_key is None:
-            yielded = 0
-            idx = self.head
-            while yielded < window:
-                idx += 1
-                if idx >= len(self.queue):
-                    return
-                cand = self.queue[idx]
-                if cand.id in self.started_out_of_order:
-                    continue
-                yielded += 1
-                yield cand
-            return
-        # At most ``pheap_stale`` of the snapshot entries are dead,
-        # so this take still covers the head plus a full window of
-        # live candidates; eager compaction keeps it O(window).
-        take = window + 1 + self.pheap_stale
-        snapshot = heapq.nsmallest(take, self.pheap)
-        # Freeze the dead ids now: a backfill started mid-iteration
-        # may trigger a compaction that removes them from the live
-        # set, and a snapshot entry must not come back to life.
-        # (Jobs started *during* this pass never need the check —
-        # each snapshot entry is yielded at most once.)
-        dead = self.started_out_of_order.intersection(
-            e[2].id for e in snapshot
-        )
-        yielded = 0
-        skipped_head = False
-        for _, _, cand in snapshot:
-            if cand.id in dead:
-                continue
-            if not skipped_head:
-                skipped_head = True  # the head itself is not a candidate
-                continue
-            yielded += 1
-            yield cand
-            if yielded >= window:
-                return
+        return islice(self.waiting(), 1, 1 + self.sim.backfill_window)
 
     # -- scheduling passes ---------------------------------------------
     def conservative_schedule(self, now: float) -> None:
@@ -853,21 +731,12 @@ class _RunState:
         delayed by a later one)."""
         from repro.sched.profile import FOREVER, FreeProfile
 
-        self.prune_fifo_front()
+        self.peek_head()  # compacts before the scan, never during it
         failed: set = set()
         profile = FreeProfile(now, self.allocator.free_nodes)
         for est_end, eff_size in self.running_pairs():
             profile.release_at(est_end, eff_size)
-        scanned = 0
-        idx = self.head - 1
-        while scanned <= self.sim.backfill_window:
-            idx += 1
-            if idx >= len(self.queue):
-                break
-            job = self.queue[idx]
-            if job.id in self.started_out_of_order:
-                continue
-            scanned += 1
+        for job in islice(self.waiting(), 1 + self.sim.backfill_window):
             size = self.eff(job)
             wall = self.walltime_est(job)
             start = profile.earliest_fit(size, wall)
@@ -876,7 +745,6 @@ class _RunState:
                 if key not in failed and self.try_start(
                     job, now, via="reserved"
                 ):
-                    self.note_started_out_of_order(job.id)
                     self.pending -= 1
                     profile.reserve(now, now + wall, size)
                     self.sample()
@@ -914,7 +782,7 @@ class _RunState:
             self.easy_schedule(now)
 
     def easy_schedule(self, now: float) -> None:
-        """Scalar EASY pass (the ``REPRO_NAIVE_PASS=1`` twin)."""
+        """Scalar EASY pass (the ``use_vector_pass=False`` twin)."""
         sim = self.sim
         failed: set = set()
         # FIFO phase: start from the head until something blocks.
@@ -922,7 +790,6 @@ class _RunState:
             job = self.peek_head()
             assert job is not None
             if self.try_start(job, now):
-                self.advance_head()
                 self.pending -= 1
                 self.sample()
             else:
@@ -975,7 +842,6 @@ class _RunState:
             ):
                 continue
             if self.try_start(cand, now, via="backfill"):
-                self.note_started_out_of_order(cand.id)
                 self.pending -= 1
                 started += 1
                 self.sample()
@@ -1087,7 +953,6 @@ class _RunState:
             assert job is not None
             key = (self.eff(job), job.bw_need)
             if self.dispatch_start(job, now, "fifo", key):
-                self.advance_head()
                 self.pending -= 1
                 self.sample()
             else:
@@ -1186,7 +1051,6 @@ class _RunState:
             if self.dispatch_start(
                 cand, now, "backfill", key, bool(screened[i])
             ):
-                self.note_started_out_of_order(cand.id)
                 self.pending -= 1
                 started += 1
                 self.sample()
@@ -1204,25 +1068,15 @@ class _RunState:
 
         alloc = self.allocator
         alloc.stats.pass_vector_rounds += 1
-        self.prune_fifo_front()
+        self.peek_head()  # compacts before the scan, never during it
         failed: set = set()
         profile = FreeProfile(now, alloc.free_nodes)
         for est_end, eff_size in self.running_pairs():
             profile.release_at(est_end, eff_size)
-        # Materialize the scan window (the queue slice cannot change
-        # mid-pass; jobs started by this pass are exactly the ones the
-        # scalar loop would have already visited).
-        window = self.sim.backfill_window
-        cands: List[Job] = []
-        idx = self.head - 1
-        while len(cands) <= window:
-            idx += 1
-            if idx >= len(self.queue):
-                break
-            job = self.queue[idx]
-            if job.id in self.started_out_of_order:
-                continue
-            cands.append(job)
+        # Materialize the scan window (the queue cannot change mid-pass;
+        # jobs started by this pass are exactly the ones the scalar loop
+        # would have already visited).
+        cands = list(islice(self.waiting(), 1 + self.sim.backfill_window))
         if not cands:
             return
         n = len(cands)
@@ -1241,7 +1095,6 @@ class _RunState:
                     job, now, "reserved", key,
                     bool(screen[i]) if screen is not None else False,
                 ):
-                    self.note_started_out_of_order(job.id)
                     self.pending -= 1
                     profile.reserve(now, now + wall, size)
                     self.sample()
@@ -1259,7 +1112,7 @@ class _RunState:
         self, times: np.ndarray, kinds: np.ndarray, payloads: np.ndarray
     ) -> Tuple[int, int]:
         """Apply one round's events one at a time (the historical loop;
-        the ``REPRO_NAIVE_EVENTS=1`` twin, and the only drain that
+        the ``use_columnar_events=False`` twin, and the only drain that
         feeds per-event telemetry sinks).  Returns (arrivals,
         completions)."""
         sim = self.sim
@@ -1453,7 +1306,9 @@ class _RunState:
         return len(live)
 
     def enqueue_batch(self, times: np.ndarray, rows: np.ndarray) -> None:
-        """Enqueue a time-sorted run of arrivals in one transition."""
+        """Enqueue a time-sorted run of arrivals: the area accumulators
+        advance over the whole run in one local loop (same float-op
+        order as the scalar twin), then each job is inserted."""
         table = self.table
         resilience = self.resilience
         stats = resilience.stats if resilience is not None else None
@@ -1480,20 +1335,8 @@ class _RunState:
         self.total_busy_area = tba
         self.busy_area = ba
         self.demand_area = da
-        jobs = [table.jobs[r] for r in rows.tolist()]
-        sim = self.sim
-        if self.priority_key is None:
-            self.queue.extend(jobs)
-            sim.peak_queue_len = max(sim.peak_queue_len, len(self.queue))
-        else:
-            pheap = self.pheap
-            for job in jobs:
-                heapq.heappush(
-                    pheap, (self.priority_key(job), next(self._pseq), job)
-                )
-            sim.peak_queue_len = max(sim.peak_queue_len, len(pheap))
-        self.pending = pending
-        table.state[rows] = JobTable.QUEUED
+        for row in rows.tolist():
+            self.enqueue(table.jobs[row])
 
     # -- drive loop ----------------------------------------------------
     def drive(self) -> None:
@@ -1569,14 +1412,14 @@ class _RunState:
             if self.pending and not len(self.run_rows) and streams.empty():
                 # Nothing can ever start these jobs (should not happen
                 # for valid traces; recorded for failure-injection tests).
-                while (job := self.peek_head()) is not None:
+                for job in self.waiting():
                     self.unscheduled.append(job.id)
-                    table.state[table.row_of[job.id]] = JobTable.UNSCHEDULED
+                    table.state[job.row] = JobTable.UNSCHEDULED
+                    self.entry_seq[job.row] = -1
                     if self.event_log is not None:
                         self.event_log.record(
                             round_t, "unscheduled", job.id, job.size
                         )
-                    self.advance_head()
                     self.pending -= 1
                 break
 

@@ -77,7 +77,6 @@ def _assert_twin(scheme, **sim_kwargs):
     assert col.wasted_node_seconds == sca.wasted_node_seconds
     assert col.degraded_node_seconds == sca.degraded_node_seconds
     assert csim.peak_queue_len == ssim.peak_queue_len
-    assert csim.peak_started_out_of_order == ssim.peak_started_out_of_order
     return col, sca
 
 
@@ -114,7 +113,7 @@ def test_faulted_twin(scheme):
 
 def test_columnar_drain_actually_taken(monkeypatch):
     """Batch-step rounds batch their completions — and the scalar
-    knob, per-event telemetry, or the env variable all force the twin.
+    knob or per-event telemetry force the twin.
     (Event-driven rounds drain one timestamp at a time and so take the
     small-round scalar fallback; decisions are identical either way.)
     """
@@ -139,15 +138,6 @@ def test_columnar_drain_actually_taken(monkeypatch):
     _run("jigsaw", True, step_interval=300.0,
          sampler=TimeSeriesSampler(600.0))
     assert calls["batch"] == 0  # per-event telemetry forces scalar
-
-
-def test_env_knob_selects_scalar_events(monkeypatch):
-    monkeypatch.setenv("REPRO_NAIVE_EVENTS", "1")
-    sim, _ = _run("jigsaw", True)  # env overrides the argument
-    assert not sim.use_columnar_events
-    monkeypatch.setenv("REPRO_NAIVE_EVENTS", "0")
-    sim, _ = _run("jigsaw", True)  # "0" does not
-    assert sim.use_columnar_events
 
 
 @settings(max_examples=10, deadline=None)

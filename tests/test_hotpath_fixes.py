@@ -1,7 +1,7 @@
 """Regression tests for the scheduler hot-path fixes.
 
-Covers: the FIFO queue/started-set memory leak (live bookkeeping must
-stay bounded on long traces), unscheduled jobs being reported as ids
+Covers: the waiting-queue memory leak (dead entries must be compacted
+so the queue stays bounded on long traces), unscheduled jobs being reported as ids
 and logged, LinkCapacityState clamping only the links a release
 touched, and ClusterState.claim rejecting out-of-range node ids with
 AllocationError instead of numpy's IndexError (or silent negative-index
@@ -22,6 +22,14 @@ from repro.topology.state import AllocationError, ClusterState, LinkCapacityStat
 @pytest.fixture
 def tree():
     return FatTree.from_radix(8)  # 128 nodes
+
+
+def _starts_per_job(log):
+    starts = {}
+    for event in log.events:
+        if event.kind == "start":
+            starts[event.job_id] = starts.get(event.job_id, 0) + 1
+    return starts
 
 
 class TestBoundedQueueBookkeeping:
@@ -47,9 +55,9 @@ class TestBoundedQueueBookkeeping:
     def test_started_out_of_order_is_pruned(self, tree):
         # Each round: a blocker fills 120 nodes, a same-size job queues
         # behind it as the blocked head, and two small jobs backfill
-        # into the 8 spare nodes.  The backfilled ids enter the
-        # started-out-of-order set and must be pruned as the head
-        # passes them — without pruning the set grows by two per round.
+        # into the 8 spare nodes.  The backfilled jobs' entries die in
+        # place and must be compacted away — without that the queue
+        # grows by two dead entries per round.
         jobs = []
         jid = 0
         rounds = 200
@@ -71,10 +79,6 @@ class TestBoundedQueueBookkeeping:
         # Backfills must actually have happened for this test to mean
         # anything.
         assert log.start_mechanisms()["backfill"] >= rounds
-        assert sim.peak_started_out_of_order < 20, (
-            f"started-out-of-order set grew to "
-            f"{sim.peak_started_out_of_order} ids across {rounds} rounds"
-        )
         assert sim.peak_queue_len < 200
 
     def _backfill_heavy_trace(self):
@@ -82,7 +86,7 @@ class TestBoundedQueueBookkeeping:
         # waits as the blocked head, and two small-but-long jobs sort
         # *behind* the head under "largest" (by size) and "sjf" (by
         # estimate) yet fit the spare nodes — so they backfill, leaving
-        # two stale priority-heap entries per round.
+        # two dead entries behind the head per round.
         jobs = []
         jid = 0
         for r in range(150):
@@ -98,64 +102,81 @@ class TestBoundedQueueBookkeeping:
                 )
         return jobs
 
-    def test_priority_heap_stale_entries_stay_bounded(self, tree):
-        # Before the eager compaction, backfilled jobs lingered in the
-        # priority heap until they surfaced at the top, and every
-        # scheduling pass paid heapq.nsmallest(window + 1 + stale) —
-        # O(Q log Q) as the stale share grew.
-        jobs = self._backfill_heavy_trace()
-        log = ScheduleLog()
-        sim = Simulator(
-            BaselineAllocator(tree), queue_order="largest", event_log=log
-        )
-        result = sim.run(jobs)
-        assert len(result.jobs) == len(jobs)
-        # Backfills must actually have happened for this test to bite.
-        assert log.start_mechanisms()["backfill"] >= 100
-        assert sim.peak_pheap_stale <= 2 * Simulator.PHEAP_COMPACT_MIN, (
-            f"stale priority-heap entries grew to {sim.peak_pheap_stale}"
-        )
-
-    def test_priority_heap_compaction_is_decision_invariant(self, tree):
-        # Forcing a compaction after every backfill must not change a
-        # single scheduling decision relative to never compacting (the
-        # pre-fix behavior).
+    def test_priority_queue_stays_bounded(self, tree):
+        # Dead entries left behind the head by backfills must be
+        # compacted away, or every window scan walks past all of them.
+        # The live backlog here is a few jobs, so the list must stay
+        # far below the 600 entries the trace enqueues.
         jobs = self._backfill_heavy_trace()
         for order in ("largest", "sjf"):
-            lazy = Simulator(BaselineAllocator(tree), queue_order=order)
-            lazy.PHEAP_COMPACT_MIN = 10**9  # never compact eagerly
-            eager = Simulator(BaselineAllocator(tree), queue_order=order)
-            eager.PHEAP_COMPACT_MIN = 1  # compact at every opportunity
-            result_lazy = lazy.run(jobs)
-            result_eager = eager.run(jobs)
-            assert result_lazy.jobs == result_eager.jobs, order
-            assert result_lazy.makespan == result_eager.makespan, order
+            log = ScheduleLog()
+            sim = Simulator(
+                BaselineAllocator(tree), queue_order=order, event_log=log
+            )
+            result = sim.run(jobs)
+            assert len(result.jobs) == len(jobs), order
+            # Backfills must actually have happened for this test to bite.
+            assert log.start_mechanisms()["backfill"] >= 100, order
+            assert sim.peak_queue_len < 150, (
+                f"{order}: queue list grew to {sim.peak_queue_len} entries"
+            )
+
+    def test_queue_compaction_is_decision_invariant(self, tree, monkeypatch):
+        # Compaction is pure bookkeeping: a run whose queue is never
+        # compacted (only the head skips dead entries) must make every
+        # decision the compacting run makes.
+        from repro.sched.simulator import _RunState
+
+        def peek_head_uncompacted(self):
+            queue = self.queue
+            while self.head < len(queue):
+                _, seq, job = queue[self.head]
+                if self.entry_seq[job.row] == seq:
+                    return job
+                self.head += 1
+            return None
+
+        jobs = self._backfill_heavy_trace()
+        for order in Simulator.QUEUE_ORDERS:
+            compacting = Simulator(BaselineAllocator(tree), queue_order=order)
+            result = compacting.run(jobs)
+            with monkeypatch.context() as m:
+                m.setattr(_RunState, "peek_head", peek_head_uncompacted)
+                plain = Simulator(BaselineAllocator(tree), queue_order=order)
+                result_plain = plain.run(jobs)
+            assert result.jobs == result_plain.jobs, order
+            assert result.makespan == result_plain.makespan, order
+            assert compacting.peak_queue_len < plain.peak_queue_len, order
 
     def test_compaction_mid_backfill_pass_cannot_revive_entries(self, tree):
         # Regression: a compaction triggered by a backfill *inside* a
-        # window_candidates pass used to remove old stale ids from the
-        # tracking set while they were still in the pass's snapshot —
-        # the snapshot entry then looked live and its (long-finished)
-        # job was started a second time, silently losing other jobs.
-        # A dense all-at-zero mixed-size queue under a *constrained*
-        # allocator (fragmentation blocks the head while backfills keep
-        # landing) keeps many stale entries interleaved with live ones
-        # inside a single snapshot.
+        # window scan used to drop dead entries while the scan still
+        # held them — a dropped entry then looked live and its
+        # (long-finished) job was started a second time, silently
+        # losing other jobs.  A dense all-at-zero mixed-size queue
+        # under a *constrained* allocator (fragmentation blocks the
+        # head while backfills keep landing) keeps many dead entries
+        # interleaved with live ones inside a single scan.
         from repro.core.jigsaw import JigsawAllocator
 
         jobs = [
             Job(id=i, size=(i * 5) % 30 + 1, runtime=5.0 + i % 7)
             for i in range(200)
         ]
-        for order in ("sjf", "smallest", "largest"):
-            lazy = Simulator(JigsawAllocator(tree), queue_order=order)
-            lazy.PHEAP_COMPACT_MIN = 10**9
-            eager = Simulator(JigsawAllocator(tree), queue_order=order)
-            eager.PHEAP_COMPACT_MIN = 1
-            result_lazy = lazy.run(jobs)
-            result_eager = eager.run(jobs)
-            assert len(result_eager.jobs) == len(jobs), order
-            assert result_lazy.jobs == result_eager.jobs, order
+        for order in Simulator.QUEUE_ORDERS:
+            log = ScheduleLog()
+            sim = Simulator(
+                JigsawAllocator(tree), queue_order=order, event_log=log
+            )
+            result = sim.run(jobs)
+            assert len(result.jobs) == len(jobs), order
+            # "smallest" starts everything in order (nothing backfills);
+            # the others must backfill for the scan to hold dead entries.
+            if order != "smallest":
+                assert log.start_mechanisms()["backfill"] > 0, order
+            starts = _starts_per_job(log)
+            assert sorted(starts) == [j.id for j in jobs], order
+            assert set(starts.values()) == {1}, order
 
 
 class TestUnscheduledJobs:

@@ -6,12 +6,11 @@ bookkeeping must hold:
 
 * ``work_frac`` is monotone non-increasing per job (checkpointed work
   never un-saves itself);
-* the killed job holds exactly one live queue entry — never two (a
-  stale out-of-order entry plus the requeued one would let backfill
-  skip the live entry or offer a running job to the allocator twice);
-* in priority mode ``pheap_stale`` equals the number of stale heap
-  entries and ``started_out_of_order`` holds exactly their ids; in FIFO
-  mode every tracked id has exactly one entry behind the head.
+* the killed job holds exactly one live queue entry — never two (its
+  entry from before it started must stay dead, or backfill could offer
+  a running job to the allocator twice);
+* the live entries number exactly ``pending``, no job holds two, and
+  the entries from ``head`` on are sorted by ``(key, seq)``.
 
 The checks are wrapped around ``_RunState.kill_job`` and evaluated on
 seeded fault timelines across all four queue orders.
@@ -21,7 +20,7 @@ import pytest
 
 from repro.core.baseline import BaselineAllocator
 from repro.sched.job import Job
-from repro.sched.resilience import FaultTimeline
+from repro.sched.resilience import FaultSpec, FaultTimeline
 from repro.sched.simulator import Simulator, _RunState
 from repro.topology.fattree import FatTree
 
@@ -40,33 +39,26 @@ def _jobs(n=120):
     ]
 
 
+def _live(state):
+    """The live ``(key, seq, job)`` entries from ``head`` on."""
+    return [
+        e for e in state.queue[state.head:]
+        if state.entry_seq[e[2].row] == e[1]
+    ]
+
+
 def _live_entries(state, job):
-    """Live queue entries for ``job``: FIFO entries behind the head plus
-    priority-heap entries, minus anything marked stale."""
-    stale = job.id in state.started_out_of_order
-    fifo = sum(1 for j in state.queue[state.head:] if j is job)
-    heap = sum(1 for e in state.pheap if e[2] is job)
-    return fifo + heap - (1 if stale and (fifo + heap) else 0)
+    """Live queue entries for ``job``."""
+    return sum(1 for e in _live(state) if e[2] is job)
 
 
 def _check_structures(state):
-    if state.priority_key is not None:
-        stale_entries = [
-            e for e in state.pheap
-            if e[2].id in state.started_out_of_order
-        ]
-        assert state.pheap_stale == len(stale_entries)
-        assert state.started_out_of_order == {
-            e[2].id for e in stale_entries
-        }
-        # no job may hold two entries in the heap
-        ids = [e[2].id for e in state.pheap]
-        assert len(ids) == len(set(ids))
-    else:
-        behind = [j.id for j in state.queue[state.head:]]
-        assert len(behind) == len(set(behind))
-        for job_id in state.started_out_of_order:
-            assert behind.count(job_id) == 1
+    live = _live(state)
+    assert len(live) == state.pending
+    ids = [e[2].id for e in live]
+    assert len(ids) == len(set(ids))  # no job holds two live entries
+    behind = [e[:2] for e in state.queue[state.head:]]
+    assert behind == sorted(behind)
 
 
 @pytest.mark.parametrize("queue_order", Simulator.QUEUE_ORDERS)
@@ -91,9 +83,8 @@ def test_requeue_hygiene_under_overlapping_faults(
         assert frac <= frac_seen.get(job.id, 1.0) + 1e-12
         assert 0.0 <= frac <= 1.0
         frac_seen[job.id] = frac
-        # the victim was purged and re-enqueued: exactly one live entry
+        # the victim was re-enqueued: exactly one live entry
         assert _live_entries(self, job) == 1
-        assert job.id not in self.started_out_of_order
         assert job.id not in self.running
         assert job.id not in self.live_comp
         _check_structures(self)
@@ -118,5 +109,50 @@ def test_requeue_hygiene_under_overlapping_faults(
     )
     # Every kill was resubmitted and (with repairs active) finished.
     assert result.resubmissions == sum(kills_per_job.values())
+    assert len(result.jobs) == len(jobs)
+    assert not result.unscheduled
+
+
+def test_requeued_victim_below_dead_prefix_becomes_head(monkeypatch):
+    # Under "smallest" a requeued victim's key can sort below the dead
+    # entries in front of ``head``: here the victim (size 2) started
+    # first, then three size-4 jobs started as heads, and a size-120
+    # job waits as the blocked head.  The victim's requeued entry must
+    # land at ``head`` — in front of the blocked job — not among the
+    # dead entries behind it, where no scan would ever see it again.
+    tree = FatTree.from_radix(8)
+    victim = Job(id=1, size=2, runtime=1000.0, arrival=0.0)
+    jobs = [victim] + [
+        Job(id=2 + k, size=4, runtime=1000.0, arrival=10.0)
+        for k in range(3)
+    ] + [Job(id=9, size=120, runtime=100.0, arrival=20.0)]
+    # Baseline fills an idle cluster from node 0: the victim holds it.
+    timeline = FaultTimeline(
+        (FaultSpec(50.0, "node", (0,), end=60.0),)
+    )
+    heads = []
+    orig_kill = _RunState.kill_job
+
+    def checked_kill(self, job, now, **kw):
+        dead_before = [e[0] for e in self.queue[:self.head]]
+        orig_kill(self, job, now, **kw)
+        _check_structures(self)
+        heads.append((job.id, dead_before, self.peek_head()))
+
+    monkeypatch.setattr(_RunState, "kill_job", checked_kill)
+    sim = Simulator(
+        BaselineAllocator(tree),
+        queue_order="smallest",
+        fault_timeline=timeline,
+    )
+    result = sim.run(jobs)
+
+    assert len(heads) == 1
+    killed, dead_before, head = heads[0]
+    assert killed == victim.id
+    # the edge is real: dead entries with larger keys sat before head
+    assert dead_before and max(dead_before) > victim.size
+    assert head is victim
+    assert result.resubmissions == 1
     assert len(result.jobs) == len(jobs)
     assert not result.unscheduled

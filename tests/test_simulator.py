@@ -207,6 +207,17 @@ class TestValidationAndEdgeCases:
         with pytest.raises(ValueError, match="reservation policy"):
             Simulator(BaselineAllocator(tree), reservation_policy="wish")
 
+    @pytest.mark.parametrize("policy", ["easy", "conservative"])
+    def test_negative_backfill_window_rejected(self, tree, policy):
+        # A negative window used to be accepted: conservative then
+        # scanned no job at all (every job ended unscheduled) and EASY
+        # silently ran FIFO-only.
+        with pytest.raises(ValueError, match="backfill_window"):
+            Simulator(
+                BaselineAllocator(tree), backfill_window=-1,
+                backfill_policy=policy,
+            )
+
     def test_empty_trace(self, tree):
         result = sim(tree).run([])
         assert result.jobs == []

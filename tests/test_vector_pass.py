@@ -2,7 +2,7 @@
 scalar twin.
 
 The vector pass promises *identical decisions* — every placement, every
-charged allocator attempt, the priority-heap bookkeeping — across all
+charged allocator attempt, the waiting-queue bookkeeping — across all
 five schemes, every queue order, both drive modes and faulted replay.
 These tests run each configuration through both passes and hold them to
 it, and a property test checks the monotone size cut directly: a size
@@ -67,8 +67,7 @@ def _assert_twin(scheme, **sim_kwargs):
     assert vec.makespan == sca.makespan
     assert vec.alloc_attempts == sca.alloc_attempts
     assert vec.unscheduled == sca.unscheduled
-    assert vsim.peak_pheap_stale == ssim.peak_pheap_stale
-    assert vsim.peak_started_out_of_order == ssim.peak_started_out_of_order
+    assert vsim.peak_queue_len == ssim.peak_queue_len
     # The vector run actually took the vector path — and only it.
     assert vec.pass_vector_rounds == vec.scheduling_rounds
     assert sca.pass_vector_rounds == 0
@@ -105,17 +104,6 @@ def test_faulted_twin(scheme):
         checkpoint_interval=600.0,
     )
     assert vec.faults_injected > 0  # the timeline actually fired
-
-
-def test_env_knob_selects_scalar_pass(monkeypatch):
-    monkeypatch.setenv("REPRO_NAIVE_PASS", "1")
-    sim, result = _run("jigsaw", True)  # env overrides the argument
-    assert not sim.use_vector_pass
-    assert result.pass_vector_rounds == 0
-    monkeypatch.setenv("REPRO_NAIVE_PASS", "0")
-    sim, result = _run("jigsaw", True)  # "0" does not
-    assert sim.use_vector_pass
-    assert result.pass_vector_rounds == result.scheduling_rounds
 
 
 def test_prefilter_actually_fires():
