@@ -36,6 +36,7 @@ from repro.core.shapes import (
     ThreeLevelShape,
     TwoLevelShape,
     three_level_shapes_cached,
+    two_level_shape_columns,
     two_level_shapes_cached,
 )
 from repro.topology.fattree import LinkId, SpineLinkId, XGFT
@@ -103,6 +104,10 @@ class JigsawAllocator(Allocator):
         # Per-_search negative/positive memo for repeated per-pod
         # sub-searches (used by the LC family, cleared at every search).
         self._pod_memo: Dict[Tuple[int, int, int, int], tuple] = {}
+        # Per-_search (pod, fully-free leaves, usable full leaves) rows
+        # of the pods holding a fully-free leaf, read once by the first
+        # three-level shape (the state cannot change mid-search).
+        self._three_level_cols: Optional[List[Tuple[int, int, int]]] = None
         # Cross-pass negative memo: (pod, LT, nL, nrL, bw-key) ->
         # (pod epoch at record time, step cost).  Entries outlive
         # _search calls and are validated lazily against the pod's
@@ -166,6 +171,7 @@ class JigsawAllocator(Allocator):
             return None
         self._steps_left = self.step_budget
         self._pod_memo.clear()
+        self._three_level_cols = None
         profiling = self.prof.enabled
         try:
             # Look for a single-subtree allocation first.
@@ -301,7 +307,10 @@ class JigsawAllocator(Allocator):
         of the pod's free-count histogram, evaluated here for every
         feasible pod of a shape in one numpy pass.  Pods holding a
         claimed uplink fall back to the scalar per-pod search (their
-        masks can prune the backtracking).
+        masks can prune the backtracking).  The pod prefilter runs once
+        per search for all shapes together (:meth:`_two_level_prefilter`);
+        ``pods_pruned`` still grows per shape the loop visits, as on the
+        scalar walk.
 
         Selection replicates the scalar loop exactly: the first
         candidate in (shape, pod) iteration order whose score starts
@@ -313,16 +322,28 @@ class JigsawAllocator(Allocator):
         tree = self.tree
         prof = self.prof
         profiling = prof.enabled
+        shapes = self._two_level_shape_iter(alloc_size)
+        if not shapes:
+            return None
+        if profiling:
+            with prof.stage("prefilter"):
+                fit = self._two_level_prefilter(alloc_size)
+        else:
+            fit = self._two_level_prefilter(alloc_size)
+        fit_counts = fit.sum(axis=1).tolist()
+        num_pods = tree.num_pods
         ge_all = self.state.leaf_ge_view()
         best = None  # (broken, residue, consumed, shape_idx, pod, shape, found)
-        for shape_idx, shape in enumerate(self._two_level_shape_iter(alloc_size)):
+        for shape_idx, shape in enumerate(shapes):
             if not shape.single_leaf and shape.nL > tree.l2_per_pod:
                 # No leaf can offer nL common uplinks; the scalar walk
                 # rejects every candidate set in every pod.
                 continue
-            pods = self._pods_profiled(alloc_size, shape, profiling)
-            if not pods:
+            n_fit = fit_counts[shape_idx]
+            self.stats.pods_pruned += num_pods - n_fit
+            if not n_fit:
                 continue
+            pods = np.flatnonzero(fit[shape_idx])
             if profiling:
                 with prof.stage("pod_fit"):
                     ranked = self._score_shape_pods(shape, pods, ge_all)
@@ -339,6 +360,23 @@ class JigsawAllocator(Allocator):
         if best is None:
             return None
         return self._materialize_two_level(best[5], best[4], best[6])
+
+    def _two_level_prefilter(self, alloc_size: int) -> np.ndarray:
+        """Shape x pod matrix of :meth:`_two_level_pods`' conditions.
+
+        Row ``i`` is the pod mask of the ``i``-th shape of
+        :meth:`_two_level_shape_iter`: ``pod_free >= size`` and ``LT``
+        leaves with ``>= nL`` free nodes, i.e.
+        ``state.feasible_pods(size, nL, LT)``.  One numpy pass covers
+        every shape of the search.
+        """
+        state = self.state
+        nls, lts = two_level_shape_columns(
+            alloc_size, self.tree.m1, self.tree.m2, self.order
+        )
+        return (state.leaf_ge_view()[nls] >= lts[:, None]) & (
+            state.pod_free >= alloc_size
+        )
 
     def _score_shape_pods(self, shape: TwoLevelShape, pods, ge_all):
         """Best candidate for ``shape`` among ``pods`` (ascending order).
@@ -725,7 +763,6 @@ class JigsawAllocator(Allocator):
         is the remainder pod's subset (condition 6); or ``None``.
         """
         tree = self.tree
-        state = self.state
         if shape.nL != tree.m1:
             raise ValueError("Jigsaw three-level shapes must use full leaves")
 
@@ -735,14 +772,7 @@ class JigsawAllocator(Allocator):
         # leaves here let the search pick a leaf whose uplink was held
         # by a fault, and the subsequent claim blew up mid-allocation.
         if self.use_indexes:
-            prefiltered = state.feasible_pods(
-                0, min_full_leaves=shape.LT
-            ).tolist()
-            self.stats.pods_pruned += tree.num_pods - len(prefiltered)
-            candidates = [
-                p for p in prefiltered
-                if state.usable_full_leaves(p) >= shape.LT
-            ]
+            candidates = self._three_level_candidates(shape.LT)
         else:
             candidates = [
                 p for p in range(tree.num_pods)
@@ -783,6 +813,32 @@ class JigsawAllocator(Allocator):
             return None
         rem_pod, rem_leaf, sr_mask, s_star, s_star_r = result
         return list(chosen), rem_pod, rem_leaf, sr_mask, s_star, s_star_r
+
+    def _three_level_candidates(self, LT: int) -> List[int]:
+        """Pods with ``>= LT`` usable full leaves, ascending.
+
+        The per-pod counters are read once per search; each shape then
+        filters them in plain Python.  ``pods_pruned`` counts the pods
+        lacking ``LT`` fully-free leaves — the occupancy prefilter's
+        rejections (usable full leaves are a subset of those).
+        """
+        cols = self._three_level_cols
+        if cols is None:
+            state = self.state
+            cols = self._three_level_cols = [
+                (pod, full, state.usable_full_leaves(pod))
+                for pod, full in enumerate(state.full_free_leaves.tolist())
+                if full
+            ]
+        kept = 0
+        candidates = []
+        for pod, full, usable in cols:
+            if full >= LT:
+                kept += 1
+                if usable >= LT:
+                    candidates.append(pod)
+        self.stats.pods_pruned += self.tree.num_pods - kept
+        return candidates
 
     def _finish_three_level(
         self, shape: ThreeLevelShape, chosen: Sequence[int], inter: List[int]

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Literal, Tuple
 
+import numpy as np
+
 Order = Literal["dense", "sparse"]
 
 
@@ -188,6 +190,21 @@ def two_level_shapes_cached(
 ) -> Tuple[TwoLevelShape, ...]:
     """Memoized :func:`two_level_shapes` as a tuple."""
     return tuple(two_level_shapes(size, m1, m2, order))
+
+
+@lru_cache(maxsize=65536)
+def two_level_shape_columns(
+    size: int, m1: int, m2: int, order: Order = "dense"
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(nLs, LTs)`` columns of :func:`two_level_shapes_cached` (same
+    key, same row order) for the vectorized shape x pod prefilter.
+    The arrays are shared across calls, so they are read-only."""
+    shapes = two_level_shapes_cached(size, m1, m2, order)
+    nls = np.fromiter((s.nL for s in shapes), np.int64, len(shapes))
+    lts = np.fromiter((s.LT for s in shapes), np.int64, len(shapes))
+    nls.flags.writeable = False
+    lts.flags.writeable = False
+    return nls, lts
 
 
 @lru_cache(maxsize=65536)

@@ -51,12 +51,13 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from dataclasses import replace
 from itertools import count, islice
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.allocator import Allocator
+from repro.core.allocator import Allocator, AllocatorStats
 from repro.obs.sampler import simulator_row
 from repro.sched.backfill import (
     Reservation,
@@ -104,9 +105,9 @@ class Simulator:
         uses 50; 0 disables backfilling, i.e. pure FIFO).
     step_interval:
         ``None`` (default) replays event-driven: one scheduling pass per
-        event batch.  A positive Δt selects batch-step mode: scheduling
-        rounds on the grid ``first_event + k·Δt``, with events
-        accumulating between rounds (see the module docstring).
+        event batch.  A positive, finite Δt selects batch-step mode:
+        scheduling rounds on the grid ``first_event + k·Δt``, with
+        events accumulating between rounds (see the module docstring).
     use_vector_pass:
         ``True`` (default) runs the column-oriented scheduling pass:
         queue scans are batched over the job table's size/bandwidth
@@ -188,6 +189,13 @@ class Simulator:
                 f"unknown backfill policy {backfill_policy!r}; "
                 f"expected one of {self.BACKFILL_POLICIES}"
             )
+        for name, value in (
+            ("estimate_factor", estimate_factor),
+            ("checkpoint_interval", checkpoint_interval),
+            ("step_interval", step_interval),
+        ):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if estimate_factor < 1.0:
             raise ValueError("estimate_factor must be >= 1 (users overestimate)")
         if queue_order not in self.QUEUE_ORDERS:
@@ -281,9 +289,12 @@ class Simulator:
                 f"(effective {self.allocator.effective_size(bad.size)}) "
                 f"but the cluster has {tree.num_nodes}"
             )
+        # The allocator's stats are lifetime counters; the result
+        # reports this run's share of them.
+        stats0 = replace(self.allocator.stats)
         state = _RunState(self, table)
         state.drive()
-        return state.result(name)
+        return state.result(name, stats0)
 
     # ------------------------------------------------------------------
     def _reservation(
@@ -937,12 +948,12 @@ class _RunState:
         The FIFO phase is the same head loop with proven failures
         short-circuited.  The backfill window is materialized once
         (safe: the queue cannot change mid-pass), its effective sizes,
-        walltimes and shadow checks are evaluated as columns, the batch
-        screen runs once for the whole window, and the loop then picks
-        the first eligible candidate under the *current* free count
-        until none remains.  Eligibility only shrinks as the pass
-        consumes nodes, so the sequence of charged allocator events —
-        and hence every placement — matches the scalar scan exactly.
+        walltimes, shadow checks and batch screen are evaluated as
+        columns, and one forward scan then dispatches every candidate
+        still eligible under the *current* free count and failed-key
+        set — the scalar scan's order and checks, so the sequence of
+        charged allocator events, and hence every placement, is the
+        same (see :meth:`_backfill_window_vector`).
         """
         sim = self.sim
         alloc = self.allocator
@@ -998,9 +1009,22 @@ class _RunState:
         self, now: float, cands: List[Job], reservation: Reservation,
         failed: set,
     ) -> int:
-        """Scan a materialized backfill window with column arithmetic;
-        returns how many candidates started."""
+        """Scan a materialized backfill window in one forward pass;
+        returns how many candidates started.
+
+        The static part of eligibility (the shadow test and the batch
+        screen) is computed as columns up front.  The dynamic part only
+        shrinks during a pass: free nodes only go down and ``failed``
+        only gains keys.  So once candidate ``i`` is dispatched, no
+        candidate before it can become eligible again, and a single
+        forward scan that re-checks ``key in failed`` and the live free
+        count per candidate dispatches exactly what the scalar scan
+        does, in the same order.  ``failed`` is the per-key kill
+        switch: one failure skips every later twin of its
+        ``(eff, bw)`` key, as in the scalar twin.
+        """
         alloc = self.allocator
+        state = alloc.state
         table = self.table
         n = len(cands)
         rows = np.fromiter((j.row for j in cands), np.int64, n)
@@ -1012,19 +1036,6 @@ class _RunState:
         ok_static = ((now + walls) <= reservation.shadow_time) | (
             effs <= reservation.spare_nodes
         )
-        keys = [
-            (int(e), j.bw_need) for e, j in zip(effs.tolist(), cands)
-        ]
-        # Factor equal keys so one failure kills every twin at once —
-        # the scalar scan's per-pass ``failed`` set, vectorized.
-        key_ids: Dict[tuple, int] = {}
-        ids = np.empty(n, np.int64)
-        for i, k in enumerate(keys):
-            ids[i] = key_ids.setdefault(k, len(key_ids))
-        key_dead = np.zeros(len(key_ids), bool)
-        for k, kid in key_ids.items():
-            if k in failed:
-                key_dead[kid] = True
         # One batch screen for the whole window: sound because free
         # capacity only shrinks during a pass, so infeasible-now stays
         # infeasible at any later dispatch within the pass.
@@ -1032,31 +1043,21 @@ class _RunState:
         screened = (
             np.zeros(n, bool) if screen is None else np.asarray(screen, bool)
         )
-        done = np.zeros(n, bool)
         started = 0
-        while True:
-            elig = (
-                ~done
-                & ~key_dead[ids]
-                & (effs <= alloc.free_nodes)
-                & ok_static
-            )
-            idxs = np.flatnonzero(elig)
-            if not idxs.size:
-                break
-            i = int(idxs[0])
-            done[i] = True
-            cand = cands[i]
-            key = keys[i]
-            if self.dispatch_start(
-                cand, now, "backfill", key, bool(screened[i])
-            ):
+        for cand, eff, ok, scr in zip(
+            cands, effs.tolist(), ok_static.tolist(), screened.tolist()
+        ):
+            if not ok:
+                continue
+            key = (eff, cand.bw_need)
+            if key in failed or eff > state.free_nodes_total:
+                continue
+            if self.dispatch_start(cand, now, "backfill", key, scr):
                 self.pending -= 1
                 started += 1
                 self.sample()
             else:
                 failed.add(key)
-                key_dead[key_ids[key]] = True
         return started
 
     def conservative_schedule_vector(self, now: float) -> None:
@@ -1427,9 +1428,16 @@ class _RunState:
             sampler.finish(self.last_t, self.sample_row)
 
     # -- result --------------------------------------------------------
-    def result(self, name: str) -> SimResult:
+    def result(self, name: str, stats0: AllocatorStats) -> SimResult:
+        """This run's outcome; allocator counters are reported as the
+        change since ``stats0`` (the stats at the start of the run)."""
         sim = self.sim
         resilience = self.resilience
+        stats = self.allocator.stats
+
+        def delta(field: str):
+            return getattr(stats, field) - getattr(stats0, field)
+
         completed = [
             JobRecord(j.id, j.size, j.arrival, j.start, j.end)
             for j in self.table.jobs
@@ -1445,25 +1453,21 @@ class _RunState:
             demand_area=self.demand_area,
             total_busy_area=self.total_busy_area,
             instant=self.instant,
-            sched_seconds=self.allocator.stats.alloc_seconds,
-            alloc_attempts=self.allocator.stats.attempts,
+            sched_seconds=delta("alloc_seconds"),
+            alloc_attempts=delta("attempts"),
             unscheduled=self.unscheduled,
-            cache_hits=self.allocator.stats.cache_hits,
-            cache_misses=self.allocator.stats.cache_misses,
-            pods_pruned=self.allocator.stats.pods_pruned,
-            candidate_hits=self.allocator.stats.candidate_hits,
-            memo_hits=self.allocator.stats.memo_hits,
-            xpass_memo_hits=self.allocator.stats.xpass_memo_hits,
-            xpass_memo_epoch_flushes=(
-                self.allocator.stats.xpass_memo_epoch_flushes
-            ),
-            xpass_memo_replayed_steps=(
-                self.allocator.stats.xpass_memo_replayed_steps
-            ),
-            backtrack_steps=self.allocator.stats.backtrack_steps,
-            queue_prefiltered=self.allocator.stats.queue_prefiltered,
-            size_cut_skips=self.allocator.stats.size_cut_skips,
-            pass_vector_rounds=self.allocator.stats.pass_vector_rounds,
+            cache_hits=delta("cache_hits"),
+            cache_misses=delta("cache_misses"),
+            pods_pruned=delta("pods_pruned"),
+            candidate_hits=delta("candidate_hits"),
+            memo_hits=delta("memo_hits"),
+            xpass_memo_hits=delta("xpass_memo_hits"),
+            xpass_memo_epoch_flushes=delta("xpass_memo_epoch_flushes"),
+            xpass_memo_replayed_steps=delta("xpass_memo_replayed_steps"),
+            backtrack_steps=delta("backtrack_steps"),
+            queue_prefiltered=delta("queue_prefiltered"),
+            size_cut_skips=delta("size_cut_skips"),
+            pass_vector_rounds=delta("pass_vector_rounds"),
             samples=(
                 list(self.sampler.rows) if self.sampler is not None else []
             ),

@@ -19,9 +19,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.registry import make_allocator
-from repro.topology.fattree import FatTree
+from repro.topology.fattree import FatTree, LinkId
+from repro.topology.faults import FaultInjector
 from repro.topology.state import ClusterState, mask_of
 
 
@@ -185,6 +188,69 @@ class TestReadHelperEquivalence:
                     continue
                 want.append(pod)
             assert got == want, (min_free, k, min_leaves, min_full)
+
+
+# ----------------------------------------------------------------------
+# The searches' batched prefilters vs per-shape feasible_pods
+# ----------------------------------------------------------------------
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    claims=st.integers(min_value=0, max_value=40),
+    faults=st.integers(min_value=1, max_value=6),
+)
+def test_search_prefilters_match_feasible_pods(seed, claims, faults):
+    """Over random occupancy states with leaf-uplink faults:
+
+    * every row of the two-level shape x pod matrix equals
+      ``feasible_pods(size, nL, LT)`` for its shape;
+    * the per-search three-level candidate list equals
+      ``feasible_pods(0, min_full_leaves=LT)`` narrowed to pods with
+      ``LT`` usable full leaves, and ``pods_pruned`` grows by the pods
+      ``feasible_pods`` rejects.
+    """
+    tree = FatTree.from_radix(12)
+    alloc = make_allocator("jigsaw", tree)
+    state = alloc.state
+    rng = random.Random(seed)
+    for jid in range(1, claims + 1):
+        random_claims(state, rng, jid)
+    # Fail an uplink of some fully-free leaves: their nodes stay free,
+    # so they count as fully free but not as usable full leaves.
+    full = [
+        leaf for leaf in range(tree.num_leaves)
+        if state.leaf_is_fully_free(leaf)
+    ]
+    inj = FaultInjector(alloc)
+    for leaf in rng.sample(full, min(faults, len(full))):
+        inj.fail_leaf_link(LinkId(leaf, rng.randrange(tree.l2_per_pod)))
+    if full:
+        assert any(
+            state.usable_full_leaves(p) < int(state.full_free_leaves[p])
+            for p in range(tree.num_pods)
+        )
+
+    for size in range(1, tree.nodes_per_pod + 1):
+        shapes = alloc._two_level_shape_iter(size)
+        fit = alloc._two_level_prefilter(size)
+        assert fit.shape == (len(shapes), tree.num_pods)
+        for row, shape in zip(fit, shapes):
+            want = state.feasible_pods(size, shape.nL, shape.LT)
+            assert np.flatnonzero(row).tolist() == want.tolist(), (
+                size, shape,
+            )
+
+    alloc._three_level_cols = None  # as at the start of a search
+    for LT in range(1, tree.m2 + 1):
+        prefiltered = state.feasible_pods(0, min_full_leaves=LT).tolist()
+        before = alloc.stats.pods_pruned
+        got = alloc._three_level_candidates(LT)
+        assert got == [
+            p for p in prefiltered if state.usable_full_leaves(p) >= LT
+        ], LT
+        assert alloc.stats.pods_pruned - before == (
+            tree.num_pods - len(prefiltered)
+        )
 
 
 # ----------------------------------------------------------------------

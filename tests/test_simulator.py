@@ -1,5 +1,8 @@
 """Discrete-event simulator: hand-crafted schedules with known outcomes."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.core.baseline import BaselineAllocator
@@ -191,6 +194,42 @@ class TestMetricsAccounting:
         assert result.sched_seconds > 0
         assert result.alloc_attempts >= 20
 
+    def test_rerun_reports_per_run_counters(self, tree):
+        """A reused Simulator reports each run's own allocator counters,
+        not the allocator's lifetime totals."""
+        rng = random.Random(4)
+        jobs, arrival = [], 0.0
+        for i in range(60):
+            arrival += rng.expovariate(1 / 20)
+            jobs.append(Job(
+                id=i, size=rng.randint(1, 100),
+                runtime=rng.uniform(10.0, 400.0), arrival=arrival,
+            ))
+        simulator = Simulator(JigsawAllocator(tree))
+        first = simulator.run(jobs)
+        second = simulator.run(jobs)
+        assert [(r.job_id, r.start, r.end) for r in first.jobs] == [
+            (r.job_id, r.start, r.end) for r in second.jobs
+        ]
+        assert first.pods_pruned > 0 and first.backtrack_steps > 0
+        # Every counter repeats, except the cross-pass memo's epoch
+        # flushes: the second run also drops the stale entries the
+        # first one left behind — real work of that run.
+        skip = {
+            "jobs", "instant", "samples", "provenance", "sched_seconds",
+            "xpass_memo_epoch_flushes",
+        }
+        for field in dataclasses.fields(first):
+            if field.name not in skip:
+                assert getattr(second, field.name) == getattr(
+                    first, field.name
+                ), field.name
+        stats = simulator.allocator.stats
+        assert stats.attempts == first.alloc_attempts * 2
+        assert first.sched_seconds + second.sched_seconds == pytest.approx(
+            stats.alloc_seconds
+        )
+
 
 class TestValidationAndEdgeCases:
     def test_oversized_job_rejected_up_front(self, tree):
@@ -217,6 +256,22 @@ class TestValidationAndEdgeCases:
                 BaselineAllocator(tree), backfill_window=-1,
                 backfill_policy=policy,
             )
+
+    @pytest.mark.parametrize("name, value", [
+        ("step_interval", float("inf")),
+        ("step_interval", float("nan")),
+        ("estimate_factor", float("nan")),
+        ("estimate_factor", float("inf")),
+        ("checkpoint_interval", float("nan")),
+        ("checkpoint_interval", float("inf")),
+    ])
+    def test_non_finite_parameters_rejected(self, tree, name, value):
+        # Each used to be accepted: an infinite step interval silently
+        # lost queued jobs (neither completed nor reported unscheduled),
+        # and a NaN estimate factor slipped past the ``< 1`` check and
+        # changed backfill decisions.
+        with pytest.raises(ValueError, match=name):
+            Simulator(BaselineAllocator(tree), **{name: value})
 
     def test_empty_trace(self, tree):
         result = sim(tree).run([])

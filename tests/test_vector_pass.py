@@ -106,6 +106,62 @@ def test_faulted_twin(scheme):
     assert vec.faults_injected > 0  # the timeline actually fired
 
 
+def _attempt_log(alloc):
+    """Record the job id of every charged attempt — real searches and
+    proven-failure skips alike — in the order the pass makes them."""
+    log = []
+    allocate, charge_skip = alloc.allocate, alloc.charge_skip
+
+    def logged_allocate(job_id, *args, **kwargs):
+        log.append(job_id)
+        return allocate(job_id, *args, **kwargs)
+
+    def logged_skip(job_id, *args, **kwargs):
+        log.append(job_id)
+        return charge_skip(job_id, *args, **kwargs)
+
+    alloc.allocate = logged_allocate
+    alloc.charge_skip = logged_skip
+    return log
+
+
+def test_window_twin_keys_and_shrinking_free_count():
+    """Hand-built backfill window: a failed key's later twin is skipped,
+    and a backfill start drops the free count below a later candidate's
+    size, so that candidate is skipped without an attempt.
+
+    Eight 14-node jobs leave 2 free nodes in each of the 8 pods of the
+    radix-8 tree (16 free).  At t=1 the 64-node head blocks; in the
+    window, job 9 (4 nodes: no pod has a free leaf) fails, its twin 10
+    is skipped, job 11 (2 nodes) starts and leaves 14 free, job 12
+    (15 nodes) no longer passes the free-count check, and job 13
+    (1 node) starts.
+    """
+    jobs = [Job(id=i, size=14, runtime=1000.0) for i in range(8)]
+    jobs += [
+        Job(id=job_id, size=size, runtime=runtime, arrival=1.0)
+        for job_id, size, runtime in (
+            (8, 64, 10.0), (9, 4, 50.0), (10, 4, 50.0),
+            (11, 2, 50.0), (12, 15, 50.0), (13, 1, 50.0),
+        )
+    ]
+    runs = []
+    for use_vector_pass in (True, False):
+        alloc = make_allocator("jigsaw", FatTree.from_radix(8))
+        log = _attempt_log(alloc)
+        result = Simulator(alloc, use_vector_pass=use_vector_pass).run(jobs)
+        runs.append((result, log))
+    (vec, vlog), (sca, slog) = runs
+    starts = {r.job_id: r.start for r in vec.jobs}
+    assert starts == {r.job_id: r.start for r in sca.jobs}
+    assert vec.alloc_attempts == sca.alloc_attempts
+    assert vlog == slog
+    # The t=1 pass: head, the failing key, then the two starts.
+    assert vlog[8:12] == [8, 9, 11, 13]
+    assert starts[11] == starts[13] == 1.0
+    assert starts[9] == starts[10] == starts[12] == 1000.0
+
+
 def test_prefilter_actually_fires():
     """On a contended trace the vector pass must skip real work: the
     prefilter counter moves and the attempts it replaces stay equal to
