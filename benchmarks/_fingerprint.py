@@ -37,16 +37,6 @@ once on the scalar twin (``use_vector_pass=False``) — and asserts
 byte-identical decisions, in event-driven, batch-step *and* faulted
 replay.
 
-Event-drain invariance::
-
-    PYTHONPATH=src python benchmarks/_fingerprint.py --vs-scalar-events [--scale 0.02]
-
-same shape for the event drain: every scheme twice — once on the
-columnar drain (bulk ``release_many`` completions, batched arrivals)
-and once on the one-event-at-a-time twin (``use_columnar_events=False``) —
-asserting byte-identical decisions in event-driven, batch-step and
-faulted replay.
-
 Telemetry invariance::
 
     PYTHONPATH=src python benchmarks/_fingerprint.py --obs [--scale 0.02]
@@ -259,13 +249,6 @@ def vs_scalar(scale: float) -> None:
              dict(use_vector_pass=False))
 
 
-def vs_scalar_events(scale: float) -> None:
-    """Assert the columnar and one-event-at-a-time drains decide
-    identically."""
-    _vs_twin(scale, "columnar", "scalar-events",
-             "columnar vs scalar events", dict(use_columnar_events=False))
-
-
 def vs_obs(scale: float) -> None:
     """Assert that full telemetry changes no scheduling decision."""
     from repro.sched.log import ScheduleLog
@@ -445,9 +428,6 @@ if __name__ == "__main__":
         sys.exit(0)
     if "--vs-scalar" in sys.argv:
         vs_scalar(scale)
-        sys.exit(0)
-    if "--vs-scalar-events" in sys.argv:
-        vs_scalar_events(scale)
         sys.exit(0)
     if "--obs" in sys.argv:
         vs_obs(scale)

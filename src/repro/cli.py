@@ -129,10 +129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="use the scalar scheduling pass instead of the "
                    "vectorized one (identical decisions; for invariance "
                    "checks and timing comparisons)")
-    p.add_argument("--naive-events", action="store_true",
-                   help="drain events one at a time instead of in "
-                   "columnar batches (identical decisions; for "
-                   "invariance checks and timing comparisons)")
     p.add_argument("--prof-out", default=None, metavar="FILE",
                    help="profile the allocator hot path and write the "
                    "stage snapshot as JSON")
@@ -285,7 +281,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             checkpoint_interval=args.checkpoint_interval,
                             step_interval=args.step_interval,
                             use_vector_pass=not args.naive_pass,
-                            use_columnar_events=not args.naive_events,
                             profiled=profiled,
                             provenance=bool(args.provenance_out))
         print(result.summary())

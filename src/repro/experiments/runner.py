@@ -172,7 +172,6 @@ def run_scheme(
     checkpoint_interval: float = 0.0,
     step_interval: Optional[float] = None,
     use_vector_pass: bool = True,
-    use_columnar_events: bool = True,
     profiler=None,
     profiled: bool = False,
     provenance: bool = False,
@@ -207,8 +206,6 @@ def run_scheme(
     ``use_vector_pass=False`` selects the scalar scheduling-pass twin
     (identical decisions; see the vector-pass notes on
     :class:`~repro.sched.simulator.Simulator`).
-    ``use_columnar_events=False`` selects the one-event-at-a-time drain
-    twin (identical decisions; see the columnar-event notes there).
 
     Telemetry (all strictly passive; see :mod:`repro.obs`):
 
@@ -268,7 +265,6 @@ def run_scheme(
         checkpoint_interval=checkpoint_interval,
         step_interval=step_interval,
         use_vector_pass=use_vector_pass,
-        use_columnar_events=use_columnar_events,
         provenance=provenance,
     )
     result = sim.run(setup.trace)

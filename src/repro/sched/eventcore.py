@@ -76,6 +76,12 @@ class JobTable:
         self.jobs = list(jobs)
         n = len(self.jobs)
         self.row_of = {j.id: i for i, j in enumerate(self.jobs)}
+        if len(self.row_of) != n:
+            seen = set()
+            for j in self.jobs:
+                if j.id in seen:
+                    raise ValueError(f"duplicate job id {j.id}")
+                seen.add(j.id)
         # Cache each job's row on the Job object: the hot paths address
         # the columns by ``job.row`` instead of a dict lookup.  A job
         # reused across runs is re-stamped by the next table build.

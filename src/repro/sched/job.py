@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+_INF = float("inf")
+
 
 @dataclass
 class Job:
@@ -35,14 +37,23 @@ class Job:
     row: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.size) is not int and not float(self.size).is_integer():
+            raise ValueError(
+                f"job {self.id}: size must be an integer, got {self.size!r}"
+            )
         if self.size < 1:
             raise ValueError(f"job {self.id}: size must be positive")
-        if self.runtime <= 0:
-            raise ValueError(f"job {self.id}: runtime must be positive")
-        if self.arrival < 0:
-            raise ValueError(f"job {self.id}: arrival must be non-negative")
-        if self.speedup < 0:
-            raise ValueError(f"job {self.id}: speedup must be non-negative")
+        # Each chained comparison is false for NaN, so one test per
+        # field rejects NaN and infinity along with the sign errors.
+        if not 0 < self.runtime < _INF:
+            raise ValueError(f"job {self.id}: runtime must be positive "
+                             f"and finite, got {self.runtime!r}")
+        if not 0 <= self.arrival < _INF:
+            raise ValueError(f"job {self.id}: arrival must be non-negative "
+                             f"and finite, got {self.arrival!r}")
+        if not 0 <= self.speedup < _INF:
+            raise ValueError(f"job {self.id}: speedup must be non-negative "
+                             f"and finite, got {self.speedup!r}")
 
     @property
     def isolated_runtime(self) -> float:

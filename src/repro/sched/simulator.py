@@ -66,7 +66,6 @@ from repro.sched.backfill import (
     reservation_from_arrays,
 )
 from repro.sched.eventcore import (
-    ARRIVAL,
     COMPLETION,
     FAULT_INJECT,
     FAULT_REPAIR,
@@ -84,13 +83,6 @@ from repro.sched.resilience import (
     FaultTimeline,
     ResilienceManager,
 )
-
-# Backward-compatible aliases: the kind constants moved to eventcore
-# (their equal-time ordering is documented there).
-_FAULT_REPAIR = FAULT_REPAIR
-_COMPLETION = COMPLETION
-_ARRIVAL = ARRIVAL
-_FAULT_INJECT = FAULT_INJECT
 
 
 class Simulator:
@@ -117,18 +109,10 @@ class Simulator:
         is vectorized.  ``False`` selects the scalar twin; both produce
         identical placements (``benchmarks/_fingerprint.py --vs-scalar``).
     use_columnar_events:
-        ``True`` (default) drains events between scheduling passes in
-        columnar batches: completions release their allocations through
-        one :meth:`~repro.core.allocator.Allocator.release_many` call
-        (a single occupancy-index update and one grouped
-        feasibility-cache invalidation), arrivals enqueue as a bulk
-        state transition, and fault kills drain victims through the
-        same bulk release path.  ``False`` selects the historical
-        one-event-at-a-time twin; both produce identical decisions
-        (``benchmarks/_fingerprint.py --vs-scalar-events``).  Runs that
-        attach per-event telemetry (a sampler, an enabled tracer, or an
-        event log) always take the scalar drain, which keeps the
-        telemetry stream per-event without changing any decision.
+        Accepted for compatibility and ignored: every run drains its
+        events through the one per-event loop (:meth:`_RunState.drain`),
+        which retires each round's completions through one grouped
+        :meth:`~repro.core.allocator.Allocator.release_many`.
     provenance:
         ``True`` records per-job scheduling provenance on the job-table
         columns — first-eligible time, attempt count, and every skipped
@@ -253,9 +237,6 @@ class Simulator:
         #: column-oriented scheduling pass (the scalar twin stays
         #: available for invariance checks)
         self.use_vector_pass = bool(use_vector_pass)
-        #: columnar event drain between passes (the scalar twin stays
-        #: available for invariance checks)
-        self.use_columnar_events = bool(use_columnar_events)
         #: per-job provenance recording (lifecycle timeline plus skip
         #: reasons on the job-table columns; see
         #: :meth:`_RunState._provenance_rows`).  Strictly passive — the
@@ -366,17 +347,11 @@ class _RunState:
         #: slices instead of rebuilding arrays from a dict
         self.run_rows = RunningSet(len(table))
         self.cur_busy = 0  # requested nodes currently computing
-        #: columnar event drain between passes; per-event telemetry
-        #: sinks force the scalar twin (identical decisions either way)
-        self.columnar_drain = (
-            sim.use_columnar_events
-            and sim.sampler is None
-            and sim.event_log is None
-            and not self.tracer.enabled
-        )
+        #: jobs completed this round whose allocations are not yet
+        #: returned (see :meth:`flush_releases`)
+        self.pending_release: List[Job] = []
         #: per-job provenance recording (pass-level: the recording
-        #: sites are ``try_start``/``dispatch_start``, which both
-        #: drains share, so the columnar gate above is unaffected)
+        #: sites are ``try_start``/``dispatch_start``)
         self.provenance = sim.provenance
 
         self.instant = InstantHistogram()
@@ -427,22 +402,6 @@ class _RunState:
         }[sim.queue_order]
 
     # -- running-set views ---------------------------------------------
-    @property
-    def running(self) -> Dict[int, Tuple[float, int]]:
-        """Dict view ``id -> (est_end, eff_size)`` of the running set.
-
-        Diagnostics/tests only — built on demand from the job-table
-        columns; hot paths read :attr:`run_rows` and the columns
-        directly.
-        """
-        table = self.table
-        return {
-            int(table.ids[r]): (
-                float(table.est_end[r]), int(table.eff_size[r])
-            )
-            for r in self.run_rows.rows().tolist()
-        }
-
     def running_pairs(self) -> List[Tuple[float, int]]:
         """``(est_end, eff_size)`` of every running job (reservation
         profiles sort these, so the index's swap-remove order is
@@ -453,19 +412,9 @@ class _RunState:
             zip(table.est_end[rows].tolist(), table.eff_size[rows].tolist())
         )
 
-    @property
-    def work_frac(self) -> Dict[int, float]:
-        """Dict view of the remaining-work column (diagnostics/tests):
-        ids whose remaining fraction has shrunk below 1."""
-        table = self.table
-        wf = table.work_frac
-        return {
-            int(table.ids[i]): float(wf[i])
-            for i in np.flatnonzero(wf != 1.0).tolist()
-        }
-
     # -- telemetry -----------------------------------------------------
     def sample_row(self, boundary: float) -> dict:
+        self.flush_releases()  # the row reads allocator state
         resilience = self.resilience
         return simulator_row(
             boundary, self.allocator, self.pending, len(self.run_rows),
@@ -650,17 +599,14 @@ class _RunState:
         self.pending += 1
         self.table.state[job.row] = JobTable.QUEUED
 
-    def kill_job(self, job: Job, now: float, released: bool = False) -> None:
+    def kill_job(self, job: Job, now: float) -> None:
         """Drain one fault victim through the ordinary release path
-        and resubmit it per the active queue order.  ``released=True``
-        means the caller already returned the allocation (the bulk
-        path in :meth:`kill_jobs`)."""
+        and resubmit it per the active queue order."""
         resilience = self.resilience
         elapsed = now - job.start
         planned = job.end - job.start
         saved = min(resilience.saved_work(elapsed), planned)
-        if not released:
-            self.allocator.release(job.id)
+        self.allocator.release(job.id)
         if self.sim.runtime_model is not None:
             self.sim.runtime_model.on_release(job.id)
         self.run_rows.discard(job.row)
@@ -687,18 +633,6 @@ class _RunState:
         if self.event_log is not None:
             self.event_log.record(now, "requeue", job.id, job.size)
         self.sample()
-
-    def kill_jobs(self, jobs: List[Job], now: float) -> None:
-        """Drain a fault's victims through the bulk release path.
-
-        One grouped :meth:`~repro.core.allocator.Allocator.release_many`
-        returns every victim's allocation, then each victim runs the
-        ordinary :meth:`kill_job` bookkeeping (in the same sorted-id
-        order the scalar twin uses, so requeue order is identical).
-        """
-        self.allocator.release_many([job.id for job in jobs])
-        for job in jobs:
-            self.kill_job(job, now, released=True)
 
     # -- queue views ---------------------------------------------------
     def waiting(self):
@@ -1108,15 +1042,22 @@ class _RunState:
             if start != FOREVER:
                 profile.reserve(start, start + wall, size)
 
-    # -- event drains --------------------------------------------------
-    def drain_scalar(
+    # -- event drain ---------------------------------------------------
+    def drain(
         self, times: np.ndarray, kinds: np.ndarray, payloads: np.ndarray
     ) -> Tuple[int, int]:
-        """Apply one round's events one at a time (the historical loop;
-        the ``use_columnar_events=False`` twin, and the only drain that
-        feeds per-event telemetry sinks).  Returns (arrivals,
-        completions)."""
-        sim = self.sim
+        """Apply one round's events in ``(time, kind, payload)`` order;
+        returns (arrivals, completions).
+
+        Clock, areas, histogram and telemetry advance event by event.
+        Only the allocator release is deferred: a completion lists its
+        job on :attr:`pending_release`, and :meth:`flush_releases`
+        returns the list in one grouped call before anything reads
+        allocator state again — a fault event, a sampler row, or the
+        scheduling pass after the round.  No handler in between reads
+        that state, so every decision, area and count is what a
+        release per completion would give.
+        """
         streams = self.streams
         tracer = self.tracer
         sampler = self.sampler
@@ -1135,10 +1076,12 @@ class _RunState:
                 tracer.sim_time = t
             self.advance(t)
             if kind == FAULT_REPAIR:
+                self.flush_releases()
                 resilience.repair(payload, t)
             elif kind == FAULT_INJECT:
                 # Victims drain through the ordinary release path
                 # before the injector claims the hardware.
+                self.flush_releases()
                 for victim_id in resilience.victims(payload):
                     self.kill_job(
                         table.jobs[table.row_of[victim_id]], t
@@ -1150,9 +1093,7 @@ class _RunState:
                     if self.live_comp.get(job.id) != payload:
                         continue  # orphaned by a kill
                     self.live_comp.pop(job.id)
-                self.allocator.release(job.id)
-                if sim.runtime_model is not None:
-                    sim.runtime_model.on_release(job.id)
+                self.pending_release.append(job)
                 self.run_rows.discard(job.row)
                 self.cur_busy -= job.size
                 table.state[job.row] = JobTable.DONE
@@ -1174,170 +1115,26 @@ class _RunState:
                 if self.event_log is not None:
                     self.event_log.record(t, "arrive", job.id, job.size)
                 self.enqueue(job)
+        self.flush_releases()
         return arrivals, completions
 
-    def drain_columnar(
-        self, times: np.ndarray, kinds: np.ndarray, payloads: np.ndarray
-    ) -> Tuple[int, int]:
-        """Apply one round's events as bulk state transitions.
-
-        ``take_round`` yields the events in global ``(time, kind,
-        payload)`` order; this splits the batch into maximal
-        same-kind segments (preserving that order) and hands
-        completion/arrival segments to the columnar handlers.  Fault
-        events stay per-event — they are rare — but their victims
-        drain through the bulk release path (:meth:`kill_jobs`).
-        Decisions, areas and histogram counts are identical to
-        :meth:`drain_scalar`.
-
-        Tiny rounds (event-driven mode drains one timestamp at a time)
-        fall back to the scalar loop: segmenting a two-event batch
-        costs more than it saves, and the two drains are
-        interchangeable mid-run precisely because they are decision-
-        identical.
-        """
-        n = len(times)
-        if n < 16:
-            return self.drain_scalar(times, kinds, payloads)
-        table = self.table
-        resilience = self.resilience
-        arrivals = 0
-        completions = 0
-        cuts = np.flatnonzero(np.diff(kinds)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [n]))
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            kind = int(kinds[s])
-            if kind == COMPLETION:
-                completions += self.complete_batch(
-                    times[s:e], payloads[s:e]
-                )
-            elif kind == ARRIVAL:
-                self.enqueue_batch(times[s:e], payloads[s:e])
-                arrivals += e - s
-            else:
-                for t, payload in zip(
-                    times[s:e].tolist(), payloads[s:e].tolist()
-                ):
-                    self.advance(t)
-                    if kind == FAULT_REPAIR:
-                        resilience.repair(payload, t)
-                    else:  # FAULT_INJECT
-                        victims = resilience.victims(payload)
-                        if victims:
-                            self.kill_jobs(
-                                [
-                                    table.jobs[table.row_of[vid]]
-                                    for vid in victims
-                                ],
-                                t,
-                            )
-                        resilience.inject(payload, t)
-        return arrivals, completions
-
-    def complete_batch(self, times: np.ndarray, slots: np.ndarray) -> int:
-        """Retire a time-sorted run of completions in one transition.
-
-        The area accumulators advance event by event in the exact
-        float-operation order of the scalar twin (the utilization
-        metrics are sums of per-interval products, so association
-        order matters down to the bit); everything O(1)-per-event
-        beyond that — allocation release, the occupancy-index update,
-        the feasibility-cache invalidation — is grouped: one
-        ``release_many``, one state-column write per job, one
-        histogram ``add_many``.
-        """
-        streams = self.streams
-        table = self.table
-        resilience = self.resilience
-        run_rows = self.run_rows
-        state_col = table.state
-        done = JobTable.DONE
-        # Constant across the run: no arrivals, kills or fault events
-        # occur inside a same-kind segment.
-        pending = self.pending
-        cap = self.capacity()
-        degraded = resilience.degraded_nodes if resilience is not None else 0
-        stats = resilience.stats if resilience is not None else None
-        last_t = self.last_t
-        tba = self.total_busy_area
-        ba = self.busy_area
-        da = self.demand_area
-        busy = self.cur_busy
-        live: List[Job] = []
-        util: List[float] = []
-        want_util = pending > 0 and cap > 0
-        for t, slot in zip(times.tolist(), slots.tolist()):
-            dt = t - last_t
-            if dt > 0:
-                tba += busy * dt
-                if pending > 0:
-                    ba += busy * dt
-                    da += cap * dt
-                if stats is not None:
-                    stats.degraded_node_seconds += degraded * dt
-                last_t = t
-            job = streams.completions.job(slot)
-            if resilience is not None:
-                # Orphaned by a kill: the clock still advanced above,
-                # exactly like the scalar twin.
-                if self.live_comp.get(job.id) != slot:
-                    continue
-                self.live_comp.pop(job.id)
-            busy -= job.size
-            live.append(job)
-            self.last_completion = t
-            if want_util:
-                util.append(100.0 * busy / cap)
-        self.last_t = last_t
-        self.total_busy_area = tba
-        self.busy_area = ba
-        self.demand_area = da
-        self.cur_busy = busy
-        if live:
-            self.allocator.release_many([job.id for job in live])
-            rm = self.sim.runtime_model
-            for job in live:
-                if rm is not None:
-                    rm.on_release(job.id)
-                run_rows.discard(job.row)
-                state_col[job.row] = done
-        if util:
-            self.instant.add_many(np.array(util, np.float64))
-        return len(live)
-
-    def enqueue_batch(self, times: np.ndarray, rows: np.ndarray) -> None:
-        """Enqueue a time-sorted run of arrivals: the area accumulators
-        advance over the whole run in one local loop (same float-op
-        order as the scalar twin), then each job is inserted."""
-        table = self.table
-        resilience = self.resilience
-        stats = resilience.stats if resilience is not None else None
-        degraded = resilience.degraded_nodes if resilience is not None else 0
-        cap = self.capacity()
-        last_t = self.last_t
-        tba = self.total_busy_area
-        ba = self.busy_area
-        da = self.demand_area
-        busy = self.cur_busy
-        pending = self.pending
-        for t in times.tolist():
-            dt = t - last_t
-            if dt > 0:
-                tba += busy * dt
-                if pending > 0:
-                    ba += busy * dt
-                    da += cap * dt
-                if stats is not None:
-                    stats.degraded_node_seconds += degraded * dt
-                last_t = t
-            pending += 1
-        self.last_t = last_t
-        self.total_busy_area = tba
-        self.busy_area = ba
-        self.demand_area = da
-        for row in rows.tolist():
-            self.enqueue(table.jobs[row])
+    def flush_releases(self) -> None:
+        """Return every pending completion's allocation: one grouped
+        :meth:`~repro.core.allocator.Allocator.release_many` (one
+        occupancy-index update, one feasibility-cache invalidation),
+        or a plain ``release`` for a single job."""
+        jobs = self.pending_release
+        if not jobs:
+            return
+        if len(jobs) == 1:
+            self.allocator.release(jobs[0].id)
+        else:
+            self.allocator.release_many([job.id for job in jobs])
+        rm = self.sim.runtime_model
+        if rm is not None:
+            for job in jobs:
+                rm.on_release(job.id)
+        self.pending_release = []
 
     # -- drive loop ----------------------------------------------------
     def drive(self) -> None:
@@ -1372,14 +1169,7 @@ class _RunState:
                 else None
             )
             times, kinds, payloads = streams.take_round(round_t)
-            if self.columnar_drain:
-                arrivals, completions = self.drain_columnar(
-                    times, kinds, payloads
-                )
-            else:
-                arrivals, completions = self.drain_scalar(
-                    times, kinds, payloads
-                )
+            arrivals, completions = self.drain(times, kinds, payloads)
             # The scheduling pass runs at the round boundary (in event
             # mode the boundary *is* the batch timestamp, so these
             # advances are no-ops).

@@ -17,6 +17,7 @@ Missing values are -1; comment/header lines start with ``;``.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 from typing import List, Optional, TextIO, Union
 
@@ -58,6 +59,11 @@ def read_swf(
         job_id = int(parts[0])
         submit = float(parts[1])
         run_time = float(parts[3])
+        if not (math.isfinite(submit) and math.isfinite(run_time)):
+            raise ValueError(
+                f"SWF line {lineno}: submit and run time must be finite, "
+                f"got {parts[1]} and {parts[3]}"
+            )
         procs = int(parts[4])
         if procs <= 0:
             procs = int(parts[7])  # fall back to requested processors

@@ -1,32 +1,47 @@
-"""Twin-driver equivalence: the columnar event drain vs its scalar twin.
+"""Grouped release vs one release per completion.
 
-The columnar drain promises *identical decisions and metrics* — every
-placement, every area accumulator bit, every histogram count — while
-retiring allocations through one ``release_many`` per completion batch
-and enqueuing arrivals as a bulk transition.  These tests run each
-configuration through both drains and hold them to it, and property
+The event drain (``_RunState.drain``) applies events one at a time but
+returns each round's completed allocations through one grouped
+``Allocator.release_many``.  The grouping must change nothing: these
+tests rerun each configuration with ``release_many`` patched to call
+``release`` once per id, and hold the two runs to identical placements,
+area accumulators, histogram counts and allocator counters.  Property
 tests audit ``release_many`` against sequential ``release`` over random
 occupancy states (the full incremental-index state must match).
 """
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.allocator import Allocator
 from repro.core.registry import make_allocator
+from repro.obs.sampler import TimeSeriesSampler
 from repro.sched.job import Job
-from repro.sched.metrics import InstantHistogram
+from repro.sched.log import ScheduleLog
 from repro.sched.resilience import FaultTimeline
-from repro.sched.simulator import Simulator, _RunState
+from repro.sched.simulator import Simulator
 from repro.topology.fattree import FatTree, LinkId
 from repro.topology.state import AllocationError, ClusterState
 
 SCHEMES = ("baseline", "ta", "laas", "jigsaw", "lc+s")
 QUEUE_ORDERS = ("fifo", "sjf", "smallest", "largest")
 STEP_MODES = (None, 300.0)  # event-driven and batch-step
+
+#: every SimResult field the grouping must leave unchanged (the
+#: wall-clock ``sched_seconds`` is the one field left out)
+RESULT_FIELDS = (
+    "makespan", "busy_area", "demand_area", "total_busy_area",
+    "alloc_attempts", "unscheduled", "cache_hits", "cache_misses",
+    "pods_pruned", "candidate_hits", "memo_hits", "xpass_memo_hits",
+    "xpass_memo_epoch_flushes", "xpass_memo_replayed_steps",
+    "backtrack_steps", "queue_prefiltered", "size_cut_skips",
+    "pass_vector_rounds", "faults_injected", "faults_repaired",
+    "resubmissions", "wasted_node_seconds", "degraded_node_seconds",
+    "scheduling_rounds",
+)
 
 
 def _jobs(n=250, seed=0):
@@ -43,101 +58,116 @@ def _jobs(n=250, seed=0):
     return jobs
 
 
-def _run(scheme, use_columnar_events, **sim_kwargs):
-    tree = FatTree.from_radix(8)
-    sim = Simulator(
-        make_allocator(scheme, tree),
-        use_columnar_events=use_columnar_events,
-        **sim_kwargs,
-    )
-    result = sim.run(_jobs(), "twin")
-    return sim, result
+def _release_per_id(self, job_ids):
+    for job_id in job_ids:
+        self.release(job_id)
 
 
-def _assert_twin(scheme, **sim_kwargs):
-    """Run both drains and assert identical decisions *and* metrics.
+def _run(scheme, jobs, per_id=False, **sim_kwargs):
+    """One radix-8 run; ``per_id=True`` replaces the grouped release
+    with one ``release`` per id.  Returns (simulator, result, number of
+    ``release_many`` calls that grouped two or more jobs)."""
+    groups = []
+    orig = Allocator.release_many
 
-    Unlike the scheduling-pass twins, the event drains promise
-    bit-identical area accumulators and histogram counts too — the
-    per-event float-accumulation order is preserved by construction.
-    """
-    csim, col = _run(scheme, True, **sim_kwargs)
-    ssim, sca = _run(scheme, False, **sim_kwargs)
-    assert [(j.job_id, j.start, j.end) for j in col.jobs] == [
-        (j.job_id, j.start, j.end) for j in sca.jobs
+    def recording(self, job_ids):
+        ids = list(job_ids)
+        if len(ids) > 1:
+            groups.append(len(ids))
+        (_release_per_id if per_id else orig)(self, ids)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Allocator, "release_many", recording)
+        sim = Simulator(
+            make_allocator(scheme, FatTree.from_radix(8)), **sim_kwargs
+        )
+        result = sim.run(jobs, "grouped")
+    return sim, result, len(groups)
+
+
+def _assert_grouping_invariant(scheme, jobs=None, **sim_kwargs):
+    """Run grouped and per-id release; assert identical decisions,
+    metrics and counters.  Returns the grouped run's result and how
+    many grouped calls it made."""
+    jobs = _jobs() if jobs is None else jobs
+    gsim, grouped, n_groups = _run(scheme, jobs, **sim_kwargs)
+    psim, per_id, _ = _run(scheme, jobs, per_id=True, **sim_kwargs)
+    assert [(j.job_id, j.start, j.end) for j in grouped.jobs] == [
+        (j.job_id, j.start, j.end) for j in per_id.jobs
     ]
-    assert col.makespan == sca.makespan
-    assert col.busy_area == sca.busy_area
-    assert col.demand_area == sca.demand_area
-    assert col.total_busy_area == sca.total_busy_area
-    assert col.instant.counts == sca.instant.counts
-    assert col.alloc_attempts == sca.alloc_attempts
-    assert col.unscheduled == sca.unscheduled
-    assert col.resubmissions == sca.resubmissions
-    assert col.wasted_node_seconds == sca.wasted_node_seconds
-    assert col.degraded_node_seconds == sca.degraded_node_seconds
-    assert csim.peak_queue_len == ssim.peak_queue_len
-    return col, sca
+    for name in RESULT_FIELDS:
+        assert getattr(grouped, name) == getattr(per_id, name), name
+    assert grouped.instant.counts == per_id.instant.counts
+    assert gsim.peak_queue_len == psim.peak_queue_len
+    return grouped, n_groups
 
 
 @pytest.mark.parametrize("step_interval", STEP_MODES)
 @pytest.mark.parametrize("queue_order", QUEUE_ORDERS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_easy_twin(scheme, queue_order, step_interval):
-    _assert_twin(
+    _, n_groups = _assert_grouping_invariant(
         scheme, queue_order=queue_order, step_interval=step_interval
     )
+    if step_interval is not None:
+        assert n_groups > 0  # batch-step rounds do group releases
 
 
 @pytest.mark.parametrize("step_interval", STEP_MODES)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_conservative_twin(scheme, step_interval):
-    _assert_twin(
+    _assert_grouping_invariant(
         scheme, backfill_policy="conservative", step_interval=step_interval
     )
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_faulted_twin(scheme):
+    """Faulted replays, event-driven and batch-step: releases flush
+    before every fault event, victims keep the per-victim path."""
     timeline = FaultTimeline.synthetic(
         128, mttf=40_000.0, mttr=4_000.0, horizon=20_000.0, seed=1
     )
-    col, _ = _assert_twin(
-        scheme,
-        fault_timeline=timeline,
-        fault_victim_policy="requeue-remaining",
-        checkpoint_interval=600.0,
-    )
-    assert col.faults_injected > 0  # the timeline actually fired
+    for step_interval in STEP_MODES:
+        result, _ = _assert_grouping_invariant(
+            scheme,
+            fault_timeline=timeline,
+            fault_victim_policy="requeue-remaining",
+            checkpoint_interval=600.0,
+            step_interval=step_interval,
+        )
+        assert result.faults_injected > 0  # the timeline actually fired
 
 
-def test_columnar_drain_actually_taken(monkeypatch):
-    """Batch-step rounds batch their completions — and the scalar
-    knob or per-event telemetry force the twin.
-    (Event-driven rounds drain one timestamp at a time and so take the
-    small-round scalar fallback; decisions are identical either way.)
-    """
-    calls = {"batch": 0}
-    orig = _RunState.complete_batch
+def test_telemetry_rides_grouped_release():
+    """A sampler or an event log attached to a batch-step run changes
+    neither the drain nor any decision: releases still group."""
+    jobs = _jobs()
+    _, plain, n_plain = _run("jigsaw", jobs, step_interval=300.0)
+    assert n_plain > 0
+    for sinks in (
+        {"sampler": TimeSeriesSampler(600.0)},
+        {"event_log": ScheduleLog()},
+    ):
+        _, seen, n_groups = _run("jigsaw", jobs, step_interval=300.0,
+                                 **sinks)
+        assert n_groups > 0, sinks
+        assert [(j.job_id, j.start, j.end) for j in seen.jobs] == [
+            (j.job_id, j.start, j.end) for j in plain.jobs
+        ]
+        assert seen.instant.counts == plain.instant.counts
 
-    def counting(self, times, slots):
-        calls["batch"] += 1
-        return orig(self, times, slots)
 
-    monkeypatch.setattr(_RunState, "complete_batch", counting)
-    _run("jigsaw", True, step_interval=300.0)
-    assert calls["batch"] > 0
-
-    calls["batch"] = 0
-    _run("jigsaw", False, step_interval=300.0)  # explicit scalar twin
-    assert calls["batch"] == 0
-
-    from repro.obs.sampler import TimeSeriesSampler
-
-    calls["batch"] = 0
-    _run("jigsaw", True, step_interval=300.0,
-         sampler=TimeSeriesSampler(600.0))
-    assert calls["batch"] == 0  # per-event telemetry forces scalar
+def test_sampler_rows_see_released_nodes():
+    """A sampler row inside a batch-step round sees every completion
+    before it released: Baseline pads nothing, so with no faults each
+    row's allocated nodes must equal its busy nodes exactly."""
+    sampler = TimeSeriesSampler(60.0)  # several rows per 300 s round
+    _, result, n_groups = _run("baseline", _jobs(), step_interval=300.0,
+                               sampler=sampler)
+    assert n_groups > 0
+    assert len(result.samples) > 100
+    assert all(row["padding_nodes"] == 0 for row in result.samples)
 
 
 @settings(max_examples=10, deadline=None)
@@ -145,9 +175,10 @@ def test_columnar_drain_actually_taken(monkeypatch):
     seed=st.integers(min_value=0, max_value=10_000),
     scheme=st.sampled_from(SCHEMES),
     order=st.sampled_from(QUEUE_ORDERS),
+    step_interval=st.sampled_from(STEP_MODES),
 )
-def test_twin_property_random_traces(seed, scheme, order):
-    """Columnar and scalar drains agree on randomized traces too."""
+def test_twin_property_random_traces(seed, scheme, order, step_interval):
+    """Grouped and per-id release agree on randomized traces too."""
     rng = random.Random(seed)
     jobs, arrival = [], 0.0
     for i in range(rng.randint(20, 80)):
@@ -156,22 +187,9 @@ def test_twin_property_random_traces(seed, scheme, order):
             id=i, size=rng.randint(1, 128),
             runtime=rng.uniform(1.0, 300.0), arrival=arrival,
         ))
-    results = []
-    for columnar in (True, False):
-        tree = FatTree.from_radix(8)
-        sim = Simulator(
-            make_allocator(scheme, tree),
-            queue_order=order,
-            use_columnar_events=columnar,
-        )
-        results.append(sim.run(list(jobs), "prop"))
-    col, sca = results
-    assert [(j.job_id, j.start, j.end) for j in col.jobs] == [
-        (j.job_id, j.start, j.end) for j in sca.jobs
-    ]
-    assert col.busy_area == sca.busy_area
-    assert col.demand_area == sca.demand_area
-    assert col.alloc_attempts == sca.alloc_attempts
+    _assert_grouping_invariant(
+        scheme, jobs, queue_order=order, step_interval=step_interval
+    )
 
 
 # -- release_many vs sequential release ---------------------------------
@@ -274,17 +292,3 @@ def test_allocator_release_many_groups_invalidation():
     assert alloc.stats.releases == rel_before + len(ids)
     assert alloc.feasibility_cache_size == 0
     assert alloc.state.is_idle()
-
-
-def test_histogram_add_many_matches_add():
-    h1, h2 = InstantHistogram(), InstantHistogram()
-    vals = [0.0, 59.9999, 60.0, 79.9, 80.0, 90.0, 95.0, 97.9, 98.0,
-            100.0, 50.0]
-    for v in vals:
-        h1.add(v)
-    h2.add_many(np.array(vals))
-    assert h1.counts == h2.counts
-    assert h1.total == h2.total
-    for bad in (101.0, -1.0):
-        with pytest.raises(ValueError):
-            h2.add_many(np.array([bad]))

@@ -106,6 +106,8 @@ class TestSimulatorIntegration:
             model = ContentionRuntimeModel(tree, alpha=0.3, seed=0)
             sim = Simulator(make_allocator(scheme, tree), runtime_model=model)
             results[scheme] = sim.run(trace)
+            # every completion returned its flows to the model
+            assert not model._job_links and not model._link_flows, scheme
         assert (
             results["jigsaw"].mean_turnaround
             < results["baseline"].mean_turnaround

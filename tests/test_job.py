@@ -30,6 +30,26 @@ def test_invalid_jobs_rejected(kwargs):
         Job(id=1, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("runtime", dict(size=1, runtime=float("nan"))),
+        ("runtime", dict(size=1, runtime=float("inf"))),
+        ("arrival", dict(size=1, runtime=1.0, arrival=float("nan"))),
+        ("arrival", dict(size=1, runtime=1.0, arrival=float("inf"))),
+        ("speedup", dict(size=1, runtime=1.0, speedup=float("nan"))),
+        ("speedup", dict(size=1, runtime=1.0, speedup=float("inf"))),
+        ("size", dict(size=4.5, runtime=1.0)),
+        ("size", dict(size=float("nan"), runtime=1.0)),
+    ],
+)
+def test_non_finite_and_non_integral_fields_rejected(field, kwargs):
+    # Each used to be accepted; a NaN-arrival job then vanished from a
+    # run (neither completed nor reported unscheduled).
+    with pytest.raises(ValueError, match=f"job 1: {field}"):
+        Job(id=1, **kwargs)
+
+
 def test_turnaround_and_wait():
     j = Job(id=1, size=2, runtime=10.0, arrival=3.0)
     with pytest.raises(ValueError):

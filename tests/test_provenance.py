@@ -2,8 +2,8 @@
 
 Every charged allocation attempt and every skipped consideration must be
 accounted for, per job, across all five schemes — and the account must
-be identical between the vectorized/columnar engine and its scalar
-twins, because provenance is bookkeeping, never a decision input.
+be identical between the vectorized pass and its scalar twin,
+because provenance is bookkeeping, never a decision input.
 """
 
 import csv
@@ -80,8 +80,7 @@ class TestTwinMatrix:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_scheme_reconstructs_and_twins_agree(self, scheme):
         vector = _run(scheme)
-        scalar = _run(scheme, use_vector_pass=False,
-                      use_columnar_events=False)
+        scalar = _run(scheme, use_vector_pass=False)
         _assert_reconstructs(vector, f"{scheme}/vector")
         _assert_reconstructs(scalar, f"{scheme}/scalar")
         # Provenance is passive: the twins make identical decisions.

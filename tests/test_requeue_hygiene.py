@@ -76,16 +76,16 @@ def test_requeue_hygiene_under_overlapping_faults(
 
     orig_kill = _RunState.kill_job
 
-    def checked_kill(self, job, now, **kw):
-        orig_kill(self, job, now, **kw)
+    def checked_kill(self, job, now):
+        orig_kill(self, job, now)
         kills_per_job[job.id] = kills_per_job.get(job.id, 0) + 1
-        frac = self.work_frac.get(job.id, 1.0)
+        frac = float(self.table.work_frac[job.row])
         assert frac <= frac_seen.get(job.id, 1.0) + 1e-12
         assert 0.0 <= frac <= 1.0
         frac_seen[job.id] = frac
         # the victim was re-enqueued: exactly one live entry
         assert _live_entries(self, job) == 1
-        assert job.id not in self.running
+        assert job.row not in self.run_rows
         assert job.id not in self.live_comp
         _check_structures(self)
 
@@ -133,9 +133,9 @@ def test_requeued_victim_below_dead_prefix_becomes_head(monkeypatch):
     heads = []
     orig_kill = _RunState.kill_job
 
-    def checked_kill(self, job, now, **kw):
+    def checked_kill(self, job, now):
         dead_before = [e[0] for e in self.queue[:self.head]]
-        orig_kill(self, job, now, **kw)
+        orig_kill(self, job, now)
         _check_structures(self)
         heads.append((job.id, dead_before, self.peek_head()))
 

@@ -273,6 +273,18 @@ class TestValidationAndEdgeCases:
         with pytest.raises(ValueError, match=name):
             Simulator(BaselineAllocator(tree), **{name: value})
 
+    @pytest.mark.parametrize("second_arrival", [50.0, 0.0])
+    def test_duplicate_job_ids_rejected(self, tree, second_arrival):
+        # Both used to run: non-overlapping duplicates recorded two
+        # completions for one id, overlapping ones crashed mid-run
+        # with "job 1 is already allocated".
+        jobs = [
+            Job(id=1, size=4, runtime=10.0, arrival=0.0),
+            Job(id=1, size=4, runtime=10.0, arrival=second_arrival),
+        ]
+        with pytest.raises(ValueError, match="duplicate job id 1"):
+            sim(tree).run(jobs)
+
     def test_empty_trace(self, tree):
         result = sim(tree).run([])
         assert result.jobs == []

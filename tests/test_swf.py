@@ -56,6 +56,20 @@ def test_malformed_line_rejected():
         read_swf(io.StringIO("1 2 3"))
 
 
+@pytest.mark.parametrize("submit, run_time", [
+    ("nan", "50"), ("inf", "50"), ("0", "nan"), ("0", "inf"),
+])
+def test_non_finite_times_rejected_with_line(submit, run_time):
+    # ``nan <= 0`` is false, so these used to reach the trace.
+    lines = [
+        " ".join(["1", "0", "-1", "50", "4"] + ["-1"] * 13),
+        " ".join(["2", submit, "-1", run_time, "4"] + ["-1"] * 13),
+        " ".join(["3", "5", "-1", "50", "4"] + ["-1"] * 13),
+    ]
+    with pytest.raises(ValueError, match="SWF line 2: .*finite"):
+        read_swf(io.StringIO("\n".join(lines)))
+
+
 def test_empty_file_rejected():
     with pytest.raises(ValueError, match="no usable jobs"):
         read_swf(io.StringIO("; nothing\n"))
